@@ -44,9 +44,16 @@ ground truth concurrently. All mutable state — sorted cursors, cost
 trackers — lives in the per-query :class:`MiddlewareSession` objects
 :meth:`session` mints, which are single-consumer and must not be
 shared between threads. The only writes after construction are the
-lazy, idempotent memoisations of :meth:`ranking` / :meth:`_grade_map`,
-which are double-checked under an internal lock; once warm, minting a
-session is lock-free O(m).
+lazy, idempotent memoisations of :meth:`ranking` / :meth:`_grade_map`
+and of the :class:`DepthIndex`, which are double-checked under an
+internal lock; once warm, minting a session is lock-free O(m).
+
+**Depth blocks.** With numpy, sessions carry the store's
+:class:`DepthIndex`, and their sources are :class:`ColumnarSource`
+objects, which add ``sorted_access_block`` / ``random_access_block`` over
+interned ids. A0, A0′ and TA use the index to find where their
+sequential run would stop, then make exactly that run's accesses in
+one block per list (:mod:`repro.algorithms.block`).
 """
 
 from __future__ import annotations
@@ -61,12 +68,17 @@ from repro.access.types import GradedItem, ObjectId
 from repro.core.aggregation import AggregationFunction
 from repro.core.graded_set import GradedSet
 from repro.core.grades import validate_grade
-from repro.core.kernels import HAVE_NUMPY, evaluate_columns
+from repro.core.kernels import HAVE_NUMPY, evaluate_columns, evaluate_matrix
 
 if HAVE_NUMPY:
     import numpy as _np
 
-__all__ = ["ColumnarScoringDatabase", "rank_orders"]
+__all__ = [
+    "ColumnarScoringDatabase",
+    "ColumnarSource",
+    "DepthIndex",
+    "rank_orders",
+]
 
 
 def rank_orders(objects: tuple[ObjectId, ...], columns):
@@ -145,6 +157,127 @@ def _validated_column(
     return _np.asarray(scalar) if HAVE_NUMPY else scalar
 
 
+class DepthIndex:
+    """Where every object sits in every list's rank order, frozen.
+
+    Built once per store (numpy only) from the store's own frozen
+    columns and orders, which it shares rather than copies. Depths are
+    1-based: an object at rank position r is delivered by the
+    (r + 1)-th sorted access.
+
+    Attributes
+    ----------
+    objects, columns, orders:
+        The store's interned ids, grade columns and rank permutations.
+    ranks:
+        (m, N) int32; ``ranks[i][j]`` is object j's 0-based position in
+        list i.
+    match_depths:
+        Sorted ascending: for every object, the depth at which it has
+        appeared in all m lists. A0's stop at k matches is
+        ``match_depths[k - 1]``.
+    first_seen / first_depths:
+        Objects ordered by the depth at which some list first delivers
+        them, and those depths (ascending). The objects seen by depth d
+        are the prefix ``first_seen[:searchsorted(first_depths, d,
+        "right")]``.
+    first_list:
+        For every object, the list that delivers it first in
+        round-major order (lowest rank, then lowest list index) — the
+        one list TA does not random-access it in.
+    """
+
+    __slots__ = (
+        "objects",
+        "columns",
+        "orders",
+        "ranks",
+        "match_depths",
+        "first_seen",
+        "first_depths",
+        "first_list",
+    )
+
+    def __init__(self, objects, columns, orders) -> None:
+        n = len(objects)
+        self.objects = objects
+        self.columns = tuple(columns)
+        self.orders = tuple(_np.asarray(order) for order in orders)
+        ranks = _np.empty((len(self.orders), n), dtype=_np.int32)
+        positions = _np.arange(n, dtype=_np.int32)
+        for i, order in enumerate(self.orders):
+            ranks[i, order] = positions
+        self.ranks = ranks
+        self.match_depths = _np.sort(ranks.max(axis=0)) + 1
+        shallowest = ranks.min(axis=0)
+        self.first_seen = _np.argsort(shallowest, kind="stable")
+        self.first_depths = shallowest[self.first_seen] + 1
+        self.first_list = ranks.argmin(axis=0).astype(
+            _np.min_scalar_type(len(self.orders) - 1)
+        )
+        for arr in (
+            *self.orders,
+            ranks,
+            self.match_depths,
+            self.first_seen,
+            self.first_depths,
+            self.first_list,
+        ):
+            arr.flags.writeable = False
+
+    def seen_count(self, depth: int) -> int:
+        """How many distinct objects the first ``depth`` rounds deliver."""
+        return _count_upto(self.first_depths, depth)
+
+    def match_count(self, depth: int) -> int:
+        """How many objects the first ``depth`` rounds deliver in every
+        list."""
+        return _count_upto(self.match_depths, depth)
+
+
+def _count_upto(depths, depth: int) -> int:
+    """Entries of the ascending ``depths`` that are at most ``depth``.
+
+    The needle is cast to the array's dtype: a Python int would make
+    numpy search a widened copy of the whole array.
+    """
+    return int(depths.searchsorted(depths.dtype.type(depth), side="right"))
+
+
+class ColumnarSource(MaterializedSource):
+    """One store list: the sequential protocol plus interned-id blocks.
+
+    The sequential methods are :class:`MaterializedSource`'s, over the
+    store's shared ranking tuple and grade map. The two block methods
+    speak interned ids and numpy arrays; like every access method they
+    are charged by the :class:`~repro.access.source.InstrumentedSource`
+    around this source, one unit per object.
+    """
+
+    @classmethod
+    def over_store(
+        cls, name: str, items, grades, order, column
+    ) -> "ColumnarSource":
+        source = cls.trusted(name, items, grades)
+        source._order = order
+        source._column = column
+        return source
+
+    def sorted_access_block(self, count: int):
+        """The next ``count`` objects under sorted access, as
+        ``(interned ids, grades)``; shorter at the end of the list."""
+        if count < 0:
+            raise ValueError(f"block size must be non-negative, got {count}")
+        start = self._cursor
+        ids = self._order[start : start + count]
+        self._cursor = start + len(ids)
+        return ids, self._column[ids]
+
+    def random_access_block(self, ids):
+        """The grades of the interned ids ``ids``, in order."""
+        return self._column[ids]
+
+
 class ColumnarScoringDatabase:
     """m graded sets over N objects, stored as float columns.
 
@@ -208,6 +341,7 @@ class ColumnarScoringDatabase:
         self._mint_lock = threading.Lock()
         self._rankings: list[tuple[GradedItem, ...] | None] = [None] * len(columns)
         self._grade_maps: list[dict[ObjectId, float] | None] = [None] * len(columns)
+        self._depth_index: DepthIndex | None = None
 
     def _rank_orders(self):
         return rank_orders(self._objects, self._columns)
@@ -250,6 +384,7 @@ class ColumnarScoringDatabase:
         self._mint_lock = threading.Lock()
         self._rankings = [None] * len(self._columns)
         self._grade_maps = [None] * len(self._columns)
+        self._depth_index = None
         return self
 
     @classmethod
@@ -342,6 +477,25 @@ class ColumnarScoringDatabase:
                     self._grade_maps[list_index] = cached
         return cached
 
+    def depth_index(self) -> DepthIndex | None:
+        """The store's :class:`DepthIndex`, built on first use.
+
+        ``None`` without numpy (or over non-numpy columns): sessions
+        then carry no index and every algorithm runs sequentially.
+        """
+        cached = self._depth_index
+        if cached is None and HAVE_NUMPY and all(
+            isinstance(column, _np.ndarray) for column in self._columns
+        ):
+            with self._mint_lock:
+                cached = self._depth_index
+                if cached is None:
+                    cached = DepthIndex(
+                        self._objects, self._columns, self._orders
+                    )
+                    self._depth_index = cached
+        return cached
+
     # ------------------------------------------------------------------
     # Bulk gather
     # ------------------------------------------------------------------
@@ -387,13 +541,28 @@ class ColumnarScoringDatabase:
         the returned session itself is single-consumer — give each
         concurrent query its own.
         """
-        raw = [
-            MaterializedSource.trusted(
-                f"list-{i}", self.ranking(i), self._grade_map(i)
-            )
-            for i in range(self.num_lists)
-        ]
-        return MiddlewareSession.over_sources(raw, num_objects=self.num_objects)
+        index = self.depth_index()
+        if index is None:
+            raw = [
+                MaterializedSource.trusted(
+                    f"list-{i}", self.ranking(i), self._grade_map(i)
+                )
+                for i in range(self.num_lists)
+            ]
+        else:
+            raw = [
+                ColumnarSource.over_store(
+                    f"list-{i}",
+                    self.ranking(i),
+                    self._grade_map(i),
+                    index.orders[i],
+                    index.columns[i],
+                )
+                for i in range(self.num_lists)
+            ]
+        return MiddlewareSession.over_sources(
+            raw, num_objects=self.num_objects, depth_index=index
+        )
 
     def _all_scores(self, aggregation: AggregationFunction) -> list[float]:
         """Every object's overall grade, in interned order (vectorized)."""
@@ -409,8 +578,13 @@ class ColumnarScoringDatabase:
         self, aggregation: AggregationFunction, k: int
     ) -> tuple[GradedItem, ...]:
         """Ground-truth top-k answers (deterministic tie-break)."""
-        from repro.algorithms.base import top_k_of
+        from repro.algorithms.base import top_k_of, top_k_select
 
+        if HAVE_NUMPY:
+            scores = evaluate_matrix(aggregation, self.grades_matrix())
+            if scores is None:
+                scores = _np.asarray(self._all_scores(aggregation))
+            return top_k_select(scores, k, self._objects)
         return top_k_of(
             list(zip(self._objects, self._all_scores(aggregation))), k
         )

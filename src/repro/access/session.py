@@ -18,11 +18,14 @@ session across queries.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Sequence
+from dataclasses import dataclass, field
+from typing import TYPE_CHECKING, Sequence
 
 from repro.access.cost import CostTracker
 from repro.access.source import InstrumentedSource, SortedRandomSource
+
+if TYPE_CHECKING:  # pragma: no cover - typing only
+    from repro.access.columnar import DepthIndex
 
 __all__ = ["MiddlewareSession"]
 
@@ -42,11 +45,20 @@ class MiddlewareSession:
     num_objects:
         N, the size of the object population (every list ranks the
         same N objects in the formal model of Section 5).
+    depth_index:
+        The minting store's rank-position index, set only by
+        :meth:`ColumnarScoringDatabase.session
+        <repro.access.columnar.ColumnarScoringDatabase.session>`, whose
+        sources also answer block accesses. Sub-sessions and sessions
+        over any other sources carry none.
     """
 
     sources: tuple[SortedRandomSource, ...]
     tracker: CostTracker
     num_objects: int
+    depth_index: "DepthIndex | None" = field(
+        default=None, repr=False, compare=False
+    )
 
     def __post_init__(self) -> None:
         if not self.sources:
@@ -59,7 +71,10 @@ class MiddlewareSession:
 
     @classmethod
     def over_sources(
-        cls, raw_sources: Sequence[SortedRandomSource], num_objects: int | None = None
+        cls,
+        raw_sources: Sequence[SortedRandomSource],
+        num_objects: int | None = None,
+        depth_index: "DepthIndex | None" = None,
     ) -> "MiddlewareSession":
         """Build a session by instrumenting plain sources with a fresh tracker."""
         tracker = CostTracker(len(raw_sources))
@@ -68,7 +83,7 @@ class MiddlewareSession:
         )
         if num_objects is None:
             num_objects = max(len(src) for src in raw_sources)
-        return cls(instrumented, tracker, num_objects)
+        return cls(instrumented, tracker, num_objects, depth_index)
 
     def subsession(
         self, list_indices: Sequence[int], restart: bool = True

@@ -386,6 +386,23 @@ class InstrumentedSource(SortedRandomSource):
             self._tracker.charge_random(self._list_index, len(grades))
         return grades
 
+    def sorted_access_block(self, count: int):
+        """Forward a columnar block read, charging one sorted access per
+        object delivered (see
+        :class:`~repro.access.columnar.ColumnarSource`)."""
+        ids, grades = self._inner.sorted_access_block(count)
+        if len(ids):
+            self._tracker.charge_sorted(self._list_index, len(ids))
+        return ids, grades
+
+    def random_access_block(self, ids):
+        """Forward a columnar block lookup, charging one random access
+        per object."""
+        grades = self._inner.random_access_block(ids)
+        if len(grades):
+            self._tracker.charge_random(self._list_index, len(grades))
+        return grades
+
     def restart(self) -> None:
         self._inner.restart()
 

@@ -201,6 +201,48 @@ def top_k_of(
     return tuple(GradedItem(obj, grade) for obj, grade in candidates[:k])
 
 
+def top_k_select(
+    grades, k: int, objects: Sequence[ObjectId], ids=None
+) -> tuple[GradedItem, ...]:
+    """:func:`top_k_of` over a numpy grade vector, item for item.
+
+    ``grades[p]`` is the grade of ``objects[ids[p]]`` (of
+    ``objects[p]`` when ``ids`` is None). ``np.partition`` finds the
+    k-th grade; the objects strictly above it (fewer than k) are sorted
+    by ``(-grade, tie_break_key)``, and the k-th grade's ties give up
+    only their smallest tie-break keys, so the Python work is bounded
+    by the boundary candidates, never by n. Same items, same order,
+    same ties as :func:`top_k_of` on the same pairs.
+    """
+    import numpy as np
+
+    n = len(grades)
+    if k <= 0 or n == 0:
+        return ()
+    if ids is None:
+        ids = np.arange(n)
+    if n <= k:
+        above = np.arange(n)
+        tied = above[:0]
+    else:
+        kth = np.partition(grades, n - k)[n - k]
+        above = np.flatnonzero(grades > kth)
+        tied = np.flatnonzero(grades == kth)
+    ranked = sorted(
+        zip(grades[above].tolist(), ids[above].tolist()),
+        key=lambda gi: (-gi[0], tie_break_key(objects[gi[1]])),
+    )
+    if len(tied):
+        ranked.extend(
+            heapq.nsmallest(
+                k - len(ranked),
+                zip(grades[tied].tolist(), ids[tied].tolist()),
+                key=lambda gi: tie_break_key(objects[gi[1]]),
+            )
+        )
+    return tuple(GradedItem(objects[i], grade) for grade, i in ranked[:k])
+
+
 def is_valid_top_k(
     items: Sequence[GradedItem],
     overall: GradedSet,

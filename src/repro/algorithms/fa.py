@@ -34,6 +34,7 @@ from dataclasses import dataclass, field
 
 from repro.access.session import MiddlewareSession
 from repro.access.types import ObjectId
+from repro.algorithms import block
 from repro.algorithms.base import TopKAlgorithm, TopKResult, top_k_of
 from repro.core.aggregation import AggregationFunction
 from repro.core.certify import EXACT, QualityContract
@@ -273,6 +274,9 @@ class FaginA0(TopKAlgorithm):
                 f"(Theorem 4.2); {aggregation.name!r} is declared "
                 "non-monotone. Pass trust_caller=True to override."
             )
+        index = block.block_index(session)
+        if index is not None:
+            return block.fagin(session, index, aggregation, k, self.name)
         # A fused, batch-consuming form of the three phases. Same
         # accesses in the same per-list quantities as the shared
         # run_sorted_phase/complete_random_phase pair (which A0', the

@@ -20,6 +20,7 @@ from __future__ import annotations
 
 from repro.access.session import MiddlewareSession
 from repro.access.source import tie_break_key
+from repro.algorithms import block
 from repro.algorithms.base import TopKAlgorithm, TopKResult, top_k_of
 from repro.algorithms.fa import fill_missing_grades, run_sorted_phase
 from repro.core.aggregation import AggregationFunction
@@ -49,6 +50,9 @@ class FaginA0Min(TopKAlgorithm):
                 f"(t = min, Theorem 4.4); got {aggregation.name!r}. "
                 "Use FaginA0 for other monotone aggregations."
             )
+        index = block.block_index(session, exact_for=aggregation)
+        if index is not None:
+            return block.fagin_min(session, index, aggregation, k, self.name)
         # Sorted access phase: identical to A0's.
         state = run_sorted_phase(session, k)
         m = session.num_lists

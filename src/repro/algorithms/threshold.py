@@ -29,6 +29,7 @@ from __future__ import annotations
 import heapq
 
 from repro.access.session import MiddlewareSession
+from repro.algorithms import block
 from repro.algorithms.base import TopKAlgorithm, TopKResult, top_k_of
 from repro.core.aggregation import AggregationFunction
 from repro.core.certify import EXACT, QualityContract
@@ -90,9 +91,14 @@ class ThresholdAlgorithm(TopKAlgorithm):
                 "TA requires a monotone aggregation; "
                 f"{aggregation.name!r} is declared non-monotone"
             )
+        rule = contract.stopping_rule()
+        index = block.block_index(session, exact_for=aggregation)
+        if index is not None:
+            return block.threshold(
+                session, index, aggregation, k, rule, self.name
+            )
         m = session.num_lists
         sources = session.sources
-        rule = contract.stopping_rule()
         scored: dict[object, float] = {}
         # Min-heap of the k best grades seen so far: an object's grade
         # never changes once scored, so the k-th best is maintained

@@ -24,7 +24,11 @@ Design constraints:
   the scalar ``evaluate`` path to the last bit. The geometric-mean
   family is the documented exception: ``x ** (1/m)`` goes through
   numpy's vectorised ``pow``, which may differ from libm's by one ulp
-  (the property tests pin a 1e-12 relative tolerance there).
+  (the property tests pin a 1e-12 relative tolerance there). Kernels
+  register with an ``exact`` flag saying which side of that line they
+  are on, and :func:`kernel_is_exact` reports it: code that mixes
+  kernel and scalar scores of one run (TA scores small batches with
+  the scalar fold) may swap one for the other only when it holds.
 * **Pure-Python fallback.** Without numpy (``HAVE_NUMPY`` false) or
   without a registered kernel, :func:`evaluate_columns` falls back to
   the scalar ``evaluate_trusted`` fold — same answers, no new
@@ -59,6 +63,7 @@ __all__ = [
     "Kernel",
     "register_kernel",
     "kernel_for",
+    "kernel_is_exact",
     "as_grade_matrix",
     "stack_rows",
     "evaluate_matrix",
@@ -73,19 +78,32 @@ Kernel = Callable[["np.ndarray"], "np.ndarray"]
 #: weights) and returns a kernel, or None to decline.
 _FACTORIES: dict[type, Callable[["AggregationFunction"], Kernel | None]] = {}
 
+#: Aggregation classes whose kernel equals the scalar
+#: ``evaluate_trusted`` fold bit for bit, object by object.
+_EXACT: set[type] = set()
+
 
 def register_kernel(
     aggregation_type: type,
     factory: Callable[["AggregationFunction"], Kernel | None],
+    *,
+    exact: bool = False,
 ) -> None:
     """Register a kernel factory for an exact aggregation class.
 
     Lookup is by ``type(aggregation)`` — deliberately *not* the MRO —
     so a subclass that redefines ``aggregate`` never silently inherits
     a kernel computing the parent's formula. Re-registration replaces
-    the entry (module reloads stay safe).
+    the entry (module reloads stay safe). ``exact`` declares that the
+    kernel reproduces the scalar fold to the last bit for every
+    in-range input; leave it off for anything that rounds differently
+    (numpy's ``pow``).
     """
     _FACTORIES[aggregation_type] = factory
+    if exact:
+        _EXACT.add(aggregation_type)
+    else:
+        _EXACT.discard(aggregation_type)
 
 
 def kernel_for(aggregation: "AggregationFunction") -> Kernel | None:
@@ -104,6 +122,20 @@ def kernel_for(aggregation: "AggregationFunction") -> Kernel | None:
     if factory is None:
         return None
     return factory(aggregation)
+
+
+def kernel_is_exact(aggregation: "AggregationFunction") -> bool:
+    """True iff ``aggregation`` has a registry kernel declared exact.
+
+    Instance-supplied kernels (``aggregate_columns``) are never assumed
+    exact: nothing vouches for their rounding.
+    """
+    return (
+        HAVE_NUMPY
+        and getattr(aggregation, "aggregate_columns", None) is None
+        and type(aggregation) in _EXACT
+        and kernel_for(aggregation) is not None
+    )
 
 
 def as_grade_matrix(rows: Sequence[Sequence[float]]) -> "np.ndarray":
@@ -288,16 +320,26 @@ def _register_standard_kernels() -> None:
         MinimumTNorm,
     )
 
-    register_kernel(MinimumTNorm, _simple(_min_kernel))
-    register_kernel(MaximumTConorm, _simple(_max_kernel))
-    register_kernel(AlgebraicProduct, _simple(_product_kernel))
-    register_kernel(BoundedDifference, _simple(_lukasiewicz_tnorm_kernel))
-    register_kernel(BoundedSum, _simple(_lukasiewicz_conorm_kernel))
-    register_kernel(ArithmeticMean, _simple(_arithmetic_mean_kernel))
+    register_kernel(MinimumTNorm, _simple(_min_kernel), exact=True)
+    register_kernel(MaximumTConorm, _simple(_max_kernel), exact=True)
+    register_kernel(AlgebraicProduct, _simple(_product_kernel), exact=True)
+    register_kernel(
+        BoundedDifference, _simple(_lukasiewicz_tnorm_kernel), exact=True
+    )
+    register_kernel(
+        BoundedSum, _simple(_lukasiewicz_conorm_kernel), exact=True
+    )
+    register_kernel(
+        ArithmeticMean, _simple(_arithmetic_mean_kernel), exact=True
+    )
     register_kernel(GeometricMean, _simple(_geometric_mean_kernel))
-    register_kernel(HarmonicMean, _simple(_harmonic_mean_kernel))
-    register_kernel(Median, _median_kernel_factory)
-    register_kernel(WeightedArithmeticMean, _weighted_arithmetic_factory)
+    register_kernel(
+        HarmonicMean, _simple(_harmonic_mean_kernel), exact=True
+    )
+    register_kernel(Median, _median_kernel_factory, exact=True)
+    register_kernel(
+        WeightedArithmeticMean, _weighted_arithmetic_factory, exact=True
+    )
     register_kernel(WeightedGeometricMean, _weighted_geometric_factory)
 
 

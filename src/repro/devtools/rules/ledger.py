@@ -11,9 +11,10 @@ decompose into ``AccessStats`` entries by construction.
 This rule flags the access paths that dodge that wrapper:
 
 * access methods on a **freshly minted raw source** —
-  ``MaterializedSource(…).next_sorted()`` or through a local bound to
-  one (``src = MaterializedSource(…); src.random_access(o)``) — raw
-  mints never charge;
+  ``MaterializedSource(…).next_sorted()``, an alternate constructor
+  such as ``ColumnarSource.over_store(…).sorted_access_block(n)``, or
+  through a local bound to one (``src = MaterializedSource(…);
+  src.random_access(o)``) — raw mints never charge;
 * access methods on ``self.<attr>`` in a class that is **not itself a
   source wrapper** (an algorithm or executor squirrelling away a raw
   source and probing it off-ledger). Wrappers — classes whose base
@@ -60,9 +61,13 @@ def _is_raw_source_mint(node: ast.AST) -> bool:
     callee = dotted_name(node.func)
     if callee is None:
         return False
-    last = callee.rsplit(".", 1)[-1]
+    parts = callee.split(".")
+    last = parts[-1]
     if last == "trusted":  # MaterializedSource.trusted fast-path mint
         return "Source" in callee
+    if len(parts) > 1 and parts[-2].endswith("Source"):
+        # An alternate constructor (ColumnarSource.over_store(...)).
+        return parts[-2] != "InstrumentedSource"
     return last.endswith("Source") and last != "InstrumentedSource"
 
 

@@ -21,6 +21,7 @@ BAD_EXPECTATIONS = [
     ("rpr001_bad.py", "RPR001", 4),
     ("rpr002_bad.py", "RPR002", 1),
     ("rpr003_bad.py", "RPR003", 3),
+    ("rpr003_block_bad.py", "RPR003", 2),
     ("rpr004_bad.py", "RPR004", 3),
     ("rpr005_bad.py", "RPR005", 4),
 ]
@@ -70,6 +71,14 @@ def test_rpr003_distinguishes_wrapper_from_algorithm() -> None:
     findings = _check_file("rpr003_bad.py")
     symbols = {f.symbol for f in findings}
     assert symbols == {"peek_best", "probe", "CheatingAlgorithm.run"}
+
+
+def test_rpr003_catches_block_reads_on_raw_columnar_mints() -> None:
+    findings = _check_file("rpr003_block_bad.py")
+    assert {f.symbol for f in findings} == {"peek_block", "probe_block"}
+    messages = " | ".join(f.message for f in findings)
+    assert "sorted_access_block" in messages
+    assert "random_access_block" in messages
 
 
 def test_rpr004_names_the_offender() -> None:
