@@ -9,9 +9,7 @@ Exercises every execution path the unified Engine offers —
 3. batch execution over one shared session / cost tracker;
 4. catalog-backed string queries over the federated CD store,
    including the filtered-conjunct and B0 plans, plus a batch with a
-   shared atom cache;
-5. the deprecation shims (Garlic.query / choose_algorithm) still
-   answering correctly
+   shared atom cache
 
 — and prints a wall-clock + access-cost summary. Exits non-zero on any
 check failure, so CI can run it as a cheap end-to-end gate:
@@ -21,14 +19,12 @@ check failure, so CI can run it as a cheap end-to-end gate:
 
 import sys
 import time
-import warnings
 
 sys.path.insert(0, "src")
 
 from repro import (  # noqa: E402
     ARITHMETIC_MEAN,
     Engine,
-    Garlic,
     MAXIMUM,
     MINIMUM,
     is_valid_top_k,
@@ -153,38 +149,6 @@ def main() -> int:
         f"(evaluated {fed_batch.details['atom_evaluations']}, "
         f"reused {fed_batch.details['atom_reuses']})",
         fed_batch.details["atom_reuses"] >= 1,
-        failures,
-    )
-
-    # ------------------------------------------------------------- 5
-    print("5. deprecation shims")
-    with warnings.catch_warnings(record=True) as caught:
-        warnings.simplefilter("always")
-        garlic = Garlic()
-        garlic.register(
-            QbicSubsystem(
-                "qbic2",
-                {"Color": {a.album_id: a.cover_rgb for a in albums}},
-            )
-        )
-        old = garlic.query('Color ~ "red"', k=3)
-        from repro import choose_algorithm
-
-        choice = choose_algorithm(MINIMUM, 2)
-    deprecations = [
-        w
-        for w in caught
-        if issubclass(w.category, DeprecationWarning)
-        and (
-            "Garlic.query" in str(w.message)
-            or "choose_algorithm" in str(w.message)
-        )
-    ]
-    check(
-        "Garlic.query/choose_algorithm answer correctly and warn",
-        old.result.k == 3
-        and choice.name == "A0-prime"
-        and len(deprecations) >= 2,
         failures,
     )
 

@@ -35,11 +35,12 @@ Federated string queries run through the same engine::
     answer = engine.query('(Artist = "Beatles") AND (Color ~ "red")').top(3)
     print(answer.plan.explain(), answer.items)
 
-The historical surfaces — ``Garlic.query`` and ``choose_algorithm`` —
-remain as thin deprecation shims over the engine.
+Strategy lookup without running a query goes through
+:func:`select_strategy` (or ``engine.plan(q).explain()``). numpy is a
+hard dependency: the columnar store, the aggregation kernels and the
+shard segments are numpy arrays.
 
-See DESIGN.md for the paper-to-module map and the old-to-new API
-table, and EXPERIMENTS.md for the reproduced results.
+See DESIGN.md for the paper-to-module map and the API removed in 3.0.
 """
 
 from repro.access import (
@@ -65,7 +66,6 @@ from repro.algorithms import (
     TopKAlgorithm,
     TopKResult,
     UllmanAlgorithm,
-    choose_algorithm,
     is_valid_top_k,
 )
 from repro.core import (
@@ -102,7 +102,7 @@ from repro.engine import (
     register_strategy,
     select_strategy,
 )
-from repro.middleware import Garlic, parse_query, render_query
+from repro.middleware import parse_query, render_query
 from repro.sharding import ShardedEngine
 from repro.subsystems import (
     QbicSubsystem,
@@ -112,7 +112,7 @@ from repro.subsystems import (
     TextSubsystem,
 )
 
-__version__ = "2.8.0"
+__version__ = "3.0.0"
 
 __all__ = [
     "__version__",
@@ -158,7 +158,6 @@ __all__ = [
     "UllmanAlgorithm",
     "NaiveAlgorithm",
     "ThresholdAlgorithm",
-    "choose_algorithm",
     "is_valid_top_k",
     # engine (the unified API)
     "Engine",
@@ -175,7 +174,6 @@ __all__ = [
     # sharding (multi-process execution)
     "ShardedEngine",
     # middleware & subsystems
-    "Garlic",
     "parse_query",
     "render_query",
     "Subsystem",

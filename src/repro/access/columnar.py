@@ -11,19 +11,19 @@ single access is charged.
 (Section 5's function from list index to graded set) in columnar form:
 
 * object ids are **interned** once into a dense ``0..N-1`` index;
-* each list's grades live in one contiguous float64 column — a numpy
-  array when numpy is importable, an ``array('d')`` otherwise (numpy
-  is an accelerator, never a requirement) — indexed by interned id;
+* each list's grades live in one contiguous float64 numpy column,
+  indexed by interned id;
 * each list's descending rank order (the skeleton permutation realised
   by the grades, ties broken by
   :func:`~repro.access.source.tie_break_key` exactly as
   :func:`~repro.access.source.rank_items` breaks them) is computed
   **once** and shared. All-integer populations sort through
   ``np.lexsort`` (the tie key for ints is numeric order, which lexsort
-  reproduces directly); anything else falls back to the Python sort.
+  reproduces directly); anything else goes through the Python key
+  sort. Either way the order is an ``ndarray`` of interned ids.
 
 Sessions are minted in O(m): each source is a cursor over the shared,
-pre-built ranking tuple and grade map (``MaterializedSource.trusted``),
+pre-built ranking tuple and grade map (:class:`ColumnarSource`),
 so repeated runs — the benchmark regime — pay for accesses, not for
 re-sorting. Access-count semantics are untouched: the sources speak
 the same sorted/random (and batched) protocol through the same
@@ -48,9 +48,8 @@ lazy, idempotent memoisations of :meth:`ranking` / :meth:`_grade_map`
 and of the :class:`DepthIndex`, which are double-checked under an
 internal lock; once warm, minting a session is lock-free O(m).
 
-**Depth blocks.** With numpy, sessions carry the store's
-:class:`DepthIndex`, and their sources are :class:`ColumnarSource`
-objects, which add ``sorted_access_block`` / ``random_access_block`` over
+**Depth blocks.** Sessions carry the store's :class:`DepthIndex`, and
+their sources are :class:`ColumnarSource` objects, which add ``sorted_access_block`` / ``random_access_block`` over
 interned ids. A0, A0′ and TA use the index to find where their
 sequential run would stop, then make exactly that run's accesses in
 one block per list (:mod:`repro.algorithms.block`).
@@ -59,8 +58,9 @@ one block per list (:mod:`repro.algorithms.block`).
 from __future__ import annotations
 
 import threading
-from array import array
 from typing import Mapping, Sequence
+
+import numpy as np
 
 from repro.access.session import MiddlewareSession
 from repro.access.source import MaterializedSource, tie_break_key
@@ -68,10 +68,7 @@ from repro.access.types import GradedItem, ObjectId
 from repro.core.aggregation import AggregationFunction
 from repro.core.graded_set import GradedSet
 from repro.core.grades import validate_grade
-from repro.core.kernels import HAVE_NUMPY, evaluate_columns, evaluate_matrix
-
-if HAVE_NUMPY:
-    import numpy as _np
+from repro.core.kernels import evaluate_columns, evaluate_matrix
 
 __all__ = [
     "ColumnarScoringDatabase",
@@ -94,30 +91,26 @@ def rank_orders(objects: tuple[ObjectId, ...], columns):
     of the global order to the shard's objects, because the sort key
     is a total order).
     """
-    if HAVE_NUMPY and all(type(obj) is int for obj in objects):
+    if all(type(obj) is int for obj in objects):
         try:
-            ids = _np.asarray(objects, dtype=_np.int64)
+            ids = np.asarray(objects, dtype=np.int64)
         except OverflowError:
             # Arbitrary-precision ids (beyond int64) keep the
             # key-based sort below — same ordering, Python speed.
             ids = None
         if ids is not None:
-            return [
-                _np.lexsort((ids, -_np.asarray(column)))
-                for column in columns
-            ]
+            return [np.lexsort((ids, -column)) for column in columns]
     tie_keys = [tie_break_key(obj) for obj in objects]
-    orders = [
-        array(
-            "l",
+    return [
+        np.asarray(
             sorted(
                 range(len(objects)),
                 key=lambda j: (-column[j], tie_keys[j]),
             ),
+            dtype=np.intp,
         )
         for column in columns
     ]
-    return orders
 
 
 def _validated_column(
@@ -129,39 +122,34 @@ def _validated_column(
 
     The bulk path converts and range-checks the whole column with numpy
     (same predicate as :func:`validate_grade`: a real in [0, 1], NaN
-    excluded); on any failure — or without numpy — it falls back to the
-    scalar validator, which produces the precise per-object error.
+    excluded); on any failure it falls back to the scalar validator,
+    which produces the precise per-object error.
     """
-    if HAVE_NUMPY:
-        try:
-            column = _np.asarray(
-                [mapping[obj] for obj in objects], dtype=_np.float64
-            )
-        except (TypeError, ValueError):
-            column = None
-        if column is not None and not (
-            _np.isnan(column).any()
-            or (column < 0.0).any()
-            or (column > 1.0).any()
-        ):
-            return column
-    scalar = array(
-        "d",
-        (
+    try:
+        column = np.asarray(
+            [mapping[obj] for obj in objects], dtype=np.float64
+        )
+    except (TypeError, ValueError):
+        column = None
+    if column is not None and not (
+        np.isnan(column).any() or (column < 0.0).any() or (column > 1.0).any()
+    ):
+        return column
+    return np.asarray(
+        [
             validate_grade(
                 mapping[obj], context=f"list {list_index}, object {obj!r}"
             )
             for obj in objects
-        ),
+        ],
+        dtype=np.float64,
     )
-    return _np.asarray(scalar) if HAVE_NUMPY else scalar
 
 
 class DepthIndex:
     """Where every object sits in every list's rank order, frozen.
 
-    Built once per store (numpy only) from the store's own frozen
-    columns and orders, which it shares rather than copies. Depths are
+    Built once per store from the store's own frozen columns and orders, which it shares rather than copies. Depths are
     1-based: an object at rank position r is delivered by the
     (r + 1)-th sorted access.
 
@@ -202,18 +190,18 @@ class DepthIndex:
         n = len(objects)
         self.objects = objects
         self.columns = tuple(columns)
-        self.orders = tuple(_np.asarray(order) for order in orders)
-        ranks = _np.empty((len(self.orders), n), dtype=_np.int32)
-        positions = _np.arange(n, dtype=_np.int32)
+        self.orders = tuple(orders)
+        ranks = np.empty((len(self.orders), n), dtype=np.int32)
+        positions = np.arange(n, dtype=np.int32)
         for i, order in enumerate(self.orders):
             ranks[i, order] = positions
         self.ranks = ranks
-        self.match_depths = _np.sort(ranks.max(axis=0)) + 1
+        self.match_depths = np.sort(ranks.max(axis=0)) + 1
         shallowest = ranks.min(axis=0)
-        self.first_seen = _np.argsort(shallowest, kind="stable")
+        self.first_seen = np.argsort(shallowest, kind="stable")
         self.first_depths = shallowest[self.first_seen] + 1
         self.first_list = ranks.argmin(axis=0).astype(
-            _np.min_scalar_type(len(self.orders) - 1)
+            np.min_scalar_type(len(self.orders) - 1)
         )
         for arr in (
             *self.orders,
@@ -324,16 +312,11 @@ class ColumnarScoringDatabase:
         self._objects = objects
         self._index = index
         self._columns = columns
-        self._orders = self._rank_orders()
-        if HAVE_NUMPY:
-            # Enforce the shared-read-only contract: sessions and
-            # ground-truth readers in any thread see frozen columns.
-            for column in self._columns:
-                if isinstance(column, _np.ndarray):
-                    column.flags.writeable = False
-            for order in self._orders:
-                if isinstance(order, _np.ndarray):
-                    order.flags.writeable = False
+        self._orders = rank_orders(objects, columns)
+        # Enforce the shared-read-only contract: sessions and
+        # ground-truth readers in any thread see frozen columns.
+        for arr in (*self._columns, *self._orders):
+            arr.flags.writeable = False
         # Lazy shared per-list state minted sessions slice into. The
         # builds are idempotent (pure functions of the frozen columns)
         # and double-checked under the lock, so concurrent first mints
@@ -342,9 +325,6 @@ class ColumnarScoringDatabase:
         self._rankings: list[tuple[GradedItem, ...] | None] = [None] * len(columns)
         self._grade_maps: list[dict[ObjectId, float] | None] = [None] * len(columns)
         self._depth_index: DepthIndex | None = None
-
-    def _rank_orders(self):
-        return rank_orders(self._objects, self._columns)
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -361,7 +341,7 @@ class ColumnarScoringDatabase:
         descending rank permutations (as :func:`rank_orders` would
         build them), typically views over a shared-memory segment. The
         caller vouches for validity and for the shared-read-only
-        contract — numpy arrays are re-marked non-writeable here, but
+        contract — the arrays are re-marked non-writeable here, but
         no grades are range-checked and no orders recomputed, so attach
         is O(m), not O(N log N).
         """
@@ -377,10 +357,8 @@ class ColumnarScoringDatabase:
         self._index = {obj: idx for idx, obj in enumerate(self._objects)}
         self._columns = list(columns)
         self._orders = list(orders)
-        if HAVE_NUMPY:
-            for arr in (*self._columns, *self._orders):
-                if isinstance(arr, _np.ndarray):
-                    arr.flags.writeable = False
+        for arr in (*self._columns, *self._orders):
+            arr.flags.writeable = False
         self._mint_lock = threading.Lock()
         self._rankings = [None] * len(self._columns)
         self._grade_maps = [None] * len(self._columns)
@@ -433,18 +411,12 @@ class ColumnarScoringDatabase:
 
     def grade(self, list_index: int, obj: ObjectId) -> float:
         """mu_Ai(obj) — direct lookup (ground truth, not an access)."""
-        grade = self._columns[list_index][self._index[obj]]
-        return float(grade)
+        return float(self._columns[list_index][self._index[obj]])
 
     def graded_set(self, list_index: int) -> GradedSet:
         """List ``i`` as a :class:`GradedSet`."""
         column = self._columns[list_index]
-        return GradedSet(dict(zip(self._objects, self._as_floats(column))))
-
-    @staticmethod
-    def _as_floats(column) -> list[float]:
-        """A column as plain Python floats (numpy and array agree)."""
-        return column.tolist()
+        return GradedSet(dict(zip(self._objects, column.tolist())))
 
     def ranking(self, list_index: int) -> tuple[GradedItem, ...]:
         """List ``i`` sorted for sorted access; built once, then shared."""
@@ -453,18 +425,14 @@ class ColumnarScoringDatabase:
             with self._mint_lock:
                 cached = self._rankings[list_index]
                 if cached is None:
-                    grades = self._as_floats(self._columns[list_index])
+                    grades = self._columns[list_index].tolist()
                     objects = self._objects
                     cached = tuple(
                         GradedItem(objects[j], grades[j])
-                        for j in self._order_indices(list_index)
+                        for j in self._orders[list_index].tolist()
                     )
                     self._rankings[list_index] = cached
         return cached
-
-    def _order_indices(self, list_index: int) -> list[int]:
-        order = self._orders[list_index]
-        return order.tolist()
 
     def _grade_map(self, list_index: int) -> dict[ObjectId, float]:
         cached = self._grade_maps[list_index]
@@ -472,21 +440,15 @@ class ColumnarScoringDatabase:
             with self._mint_lock:
                 cached = self._grade_maps[list_index]
                 if cached is None:
-                    grades = self._as_floats(self._columns[list_index])
+                    grades = self._columns[list_index].tolist()
                     cached = dict(zip(self._objects, grades))
                     self._grade_maps[list_index] = cached
         return cached
 
-    def depth_index(self) -> DepthIndex | None:
-        """The store's :class:`DepthIndex`, built on first use.
-
-        ``None`` without numpy (or over non-numpy columns): sessions
-        then carry no index and every algorithm runs sequentially.
-        """
+    def depth_index(self) -> DepthIndex:
+        """The store's :class:`DepthIndex`, built on first use."""
         cached = self._depth_index
-        if cached is None and HAVE_NUMPY and all(
-            isinstance(column, _np.ndarray) for column in self._columns
-        ):
+        if cached is None:
             with self._mint_lock:
                 cached = self._depth_index
                 if cached is None:
@@ -507,25 +469,16 @@ class ColumnarScoringDatabase:
         lists, gathered with one fancy-index per list — the bulk
         counterpart of :meth:`grade`, and like it *ground truth*: the
         matrix bypasses sources entirely, so reading it is not an
-        access. With numpy absent the matrix is a list of per-list
-        ``array('d')`` rows with the same layout.
+        access.
 
         Raises :class:`KeyError` for objects this database does not
         grade (same contract as a plain dict lookup).
         """
         if objs is None:
-            if HAVE_NUMPY:
-                return _np.vstack(self._columns)
-            return [array("d", column) for column in self._columns]
+            return np.vstack(self._columns)
         index = self._index
-        positions = [index[obj] for obj in objs]
-        if HAVE_NUMPY:
-            gather = _np.asarray(positions, dtype=_np.intp)
-            return _np.vstack([column[gather] for column in self._columns])
-        return [
-            array("d", (column[p] for p in positions))
-            for column in self._columns
-        ]
+        gather = np.asarray([index[obj] for obj in objs], dtype=np.intp)
+        return np.vstack([column[gather] for column in self._columns])
 
     # ------------------------------------------------------------------
     # Sessions and ground truth
@@ -542,24 +495,16 @@ class ColumnarScoringDatabase:
         concurrent query its own.
         """
         index = self.depth_index()
-        if index is None:
-            raw = [
-                MaterializedSource.trusted(
-                    f"list-{i}", self.ranking(i), self._grade_map(i)
-                )
-                for i in range(self.num_lists)
-            ]
-        else:
-            raw = [
-                ColumnarSource.over_store(
-                    f"list-{i}",
-                    self.ranking(i),
-                    self._grade_map(i),
-                    index.orders[i],
-                    index.columns[i],
-                )
-                for i in range(self.num_lists)
-            ]
+        raw = [
+            ColumnarSource.over_store(
+                f"list-{i}",
+                self.ranking(i),
+                self._grade_map(i),
+                index.orders[i],
+                index.columns[i],
+            )
+            for i in range(self.num_lists)
+        ]
         return MiddlewareSession.over_sources(
             raw, num_objects=self.num_objects, depth_index=index
         )
@@ -578,16 +523,12 @@ class ColumnarScoringDatabase:
         self, aggregation: AggregationFunction, k: int
     ) -> tuple[GradedItem, ...]:
         """Ground-truth top-k answers (deterministic tie-break)."""
-        from repro.algorithms.base import top_k_of, top_k_select
+        from repro.algorithms.base import top_k_select
 
-        if HAVE_NUMPY:
-            scores = evaluate_matrix(aggregation, self.grades_matrix())
-            if scores is None:
-                scores = _np.asarray(self._all_scores(aggregation))
-            return top_k_select(scores, k, self._objects)
-        return top_k_of(
-            list(zip(self._objects, self._all_scores(aggregation))), k
-        )
+        scores = evaluate_matrix(aggregation, self.grades_matrix())
+        if scores is None:
+            scores = np.asarray(self._all_scores(aggregation))
+        return top_k_select(scores, k, self._objects)
 
     def __repr__(self) -> str:
         return (

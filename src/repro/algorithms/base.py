@@ -20,6 +20,8 @@ from abc import ABC, abstractmethod
 from dataclasses import dataclass, field
 from typing import Mapping, Sequence
 
+import numpy as np
+
 from repro.access.cost import AccessStats
 from repro.access.session import MiddlewareSession
 from repro.access.source import tie_break_key
@@ -214,8 +216,6 @@ def top_k_select(
     by the boundary candidates, never by n. Same items, same order,
     same ties as :func:`top_k_of` on the same pairs.
     """
-    import numpy as np
-
     n = len(grades)
     if k <= 0 or n == 0:
         return ()

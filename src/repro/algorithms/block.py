@@ -35,6 +35,8 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING
 
+import numpy as np
+
 from repro.access.session import MiddlewareSession
 from repro.access.source import tie_break_key
 from repro.algorithms.base import TopKResult, top_k_select
@@ -42,11 +44,6 @@ from repro.core.aggregation import AggregationFunction
 from repro.core.certify import StoppingRule
 from repro.core.kernels import evaluate_matrix, kernel_is_exact
 from repro.exceptions import AggregationArityError
-
-try:
-    import numpy as np
-except ImportError:  # pragma: no cover - sessions carry no index then
-    np = None  # type: ignore[assignment]
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
     from repro.access.columnar import DepthIndex

@@ -90,8 +90,8 @@ class AggregationFunction(ABC):
         ``aggregate_columns`` method supplied by the
         :class:`VectorizedAggregation` capability wins; otherwise the
         exact-type kernel registry; otherwise ``None`` — callers then
-        use the scalar :meth:`evaluate_trusted` fold, so vectorization
-        is always an accelerator and never a behavioural requirement.
+        use the scalar :meth:`evaluate_trusted` fold, so an aggregation
+        without a kernel still works, only without the bulk speed.
         """
         from repro.core.kernels import kernel_for
 
@@ -102,8 +102,8 @@ class AggregationFunction(ABC):
 
         ``rows[i][j]`` is object j's (already validated) grade in list
         i; the result is one score per object, as plain Python floats.
-        Vectorized through :meth:`bulk_kernel` when possible, with the
-        pure-Python ``evaluate_trusted`` fold as the fallback.
+        Vectorized through :meth:`bulk_kernel` when the aggregation has a
+        kernel, otherwise through the scalar ``evaluate_trusted`` fold.
         """
         from repro.core.kernels import evaluate_columns
 
@@ -125,9 +125,7 @@ class VectorizedAggregation:
     implementing :meth:`aggregate_columns`. The contract mirrors
     :meth:`AggregationFunction.aggregate` lifted to matrices:
 
-    * the input is an (m, n) float64 matrix of validated grades (numpy
-      is guaranteed importable when this is called — the capability is
-      only consulted when :data:`~repro.core.kernels.HAVE_NUMPY` holds);
+    * the input is an (m, n) float64 numpy matrix of validated grades;
     * the output is a length-n vector; callers clip it into [0, 1]
       exactly as ``clamp_grade`` would;
     * column j's score must equal ``self.aggregate(matrix[:, j])`` (up

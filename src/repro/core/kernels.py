@@ -29,10 +29,10 @@ Design constraints:
   are on, and :func:`kernel_is_exact` reports it: code that mixes
   kernel and scalar scores of one run (TA scores small batches with
   the scalar fold) may swap one for the other only when it holds.
-* **Pure-Python fallback.** Without numpy (``HAVE_NUMPY`` false) or
-  without a registered kernel, :func:`evaluate_columns` falls back to
-  the scalar ``evaluate_trusted`` fold — same answers, no new
-  dependency. numpy is an accelerator, never a requirement.
+* **Scalar fold for kernel-less aggregations.** An aggregation with
+  no registered kernel (a user-defined one, say) still works:
+  :func:`evaluate_columns` runs the scalar ``evaluate_trusted`` fold
+  for it, object by object.
 
 Kernels are looked up by *exact* aggregation type (a subclass that
 overrides ``aggregate`` must not inherit a kernel that no longer
@@ -45,21 +45,12 @@ from __future__ import annotations
 
 from typing import TYPE_CHECKING, Callable, Sequence
 
-try:  # pragma: no cover - exercised implicitly by every import
-    import numpy as _np
-except ImportError:  # pragma: no cover - numpy is baked into CI images
-    _np = None  # type: ignore[assignment]
-
-#: True when numpy is importable; every kernel path is gated on this.
-HAVE_NUMPY: bool = _np is not None
+import numpy as np
 
 if TYPE_CHECKING:  # pragma: no cover - typing only
-    import numpy as np
-
     from repro.core.aggregation import AggregationFunction
 
 __all__ = [
-    "HAVE_NUMPY",
     "Kernel",
     "register_kernel",
     "kernel_for",
@@ -107,14 +98,12 @@ def register_kernel(
 
 
 def kernel_for(aggregation: "AggregationFunction") -> Kernel | None:
-    """The bulk kernel for ``aggregation``, or None (scalar fallback).
+    """The bulk kernel for ``aggregation``, or None (scalar fold).
 
-    Checks, in order: numpy availability, the
-    :class:`~repro.core.aggregation.VectorizedAggregation` capability
-    (an instance-supplied kernel), then the exact-type registry.
+    Checks the :class:`~repro.core.aggregation.VectorizedAggregation`
+    capability (an instance-supplied kernel) first, then the
+    exact-type registry.
     """
-    if not HAVE_NUMPY:
-        return None
     aggregate_columns = getattr(aggregation, "aggregate_columns", None)
     if aggregate_columns is not None:
         return aggregate_columns
@@ -131,8 +120,7 @@ def kernel_is_exact(aggregation: "AggregationFunction") -> bool:
     exact: nothing vouches for their rounding.
     """
     return (
-        HAVE_NUMPY
-        and getattr(aggregation, "aggregate_columns", None) is None
+        getattr(aggregation, "aggregate_columns", None) is None
         and type(aggregation) in _EXACT
         and kernel_for(aggregation) is not None
     )
@@ -140,8 +128,7 @@ def kernel_is_exact(aggregation: "AggregationFunction") -> bool:
 
 def as_grade_matrix(rows: Sequence[Sequence[float]]) -> "np.ndarray":
     """Stack m per-list grade rows into an (m, n) float64 matrix."""
-    assert HAVE_NUMPY, "as_grade_matrix needs numpy; gate on HAVE_NUMPY"
-    return _np.asarray(rows, dtype=_np.float64)
+    return np.asarray(rows, dtype=np.float64)
 
 
 def stack_rows(vectors: Sequence["np.ndarray"]) -> "np.ndarray":
@@ -152,8 +139,7 @@ def stack_rows(vectors: Sequence["np.ndarray"]) -> "np.ndarray":
     evaluates to a length-n vector, and the parent connective's kernel
     wants them stacked as a matrix, rows in child order.
     """
-    assert HAVE_NUMPY, "stack_rows needs numpy; gate on HAVE_NUMPY"
-    return _np.stack(vectors)
+    return np.stack(vectors)
 
 
 def evaluate_matrix(
@@ -168,7 +154,7 @@ def evaluate_matrix(
     kernel = kernel_for(aggregation)
     if kernel is None:
         return None
-    return _np.clip(kernel(matrix), 0.0, 1.0)
+    return np.clip(kernel(matrix), 0.0, 1.0)
 
 
 def evaluate_columns(
@@ -179,14 +165,12 @@ def evaluate_columns(
     """Scores for ``num_columns`` objects from m per-list grade rows.
 
     The bulk entry point algorithms use for their computation phase:
-    kernel path when available, otherwise the same scalar
-    ``evaluate_trusted`` fold the pre-vectorization code ran. Always
-    returns plain Python floats.
+    the kernel when the aggregation has one, otherwise the scalar
+    ``evaluate_trusted`` fold. Always returns plain Python floats.
     """
-    if HAVE_NUMPY:
-        scores = evaluate_matrix(aggregation, as_grade_matrix(rows))
-        if scores is not None:
-            return scores.tolist()
+    scores = evaluate_matrix(aggregation, as_grade_matrix(rows))
+    if scores is not None:
+        return scores.tolist()
     evaluate = aggregation.evaluate_trusted
     return [
         evaluate([row[j] for row in rows]) for j in range(num_columns)
@@ -200,15 +184,15 @@ def evaluate_columns(
 
 
 def _min_kernel(matrix: "np.ndarray") -> "np.ndarray":
-    return _np.minimum.reduce(matrix, axis=0)
+    return np.minimum.reduce(matrix, axis=0)
 
 
 def _max_kernel(matrix: "np.ndarray") -> "np.ndarray":
-    return _np.maximum.reduce(matrix, axis=0)
+    return np.maximum.reduce(matrix, axis=0)
 
 
 def _product_kernel(matrix: "np.ndarray") -> "np.ndarray":
-    return _np.multiply.reduce(matrix, axis=0)
+    return np.multiply.reduce(matrix, axis=0)
 
 
 def _lukasiewicz_tnorm_kernel(matrix: "np.ndarray") -> "np.ndarray":
@@ -216,7 +200,7 @@ def _lukasiewicz_tnorm_kernel(matrix: "np.ndarray") -> "np.ndarray":
     # clamped at 0 per step (the Sterbenz-safe order of tnorms.py).
     acc = matrix[0]
     for row in matrix[1:]:
-        acc = _np.maximum(0.0, (acc - 1.0) + row)
+        acc = np.maximum(0.0, (acc - 1.0) + row)
     return acc
 
 
@@ -224,20 +208,20 @@ def _lukasiewicz_conorm_kernel(matrix: "np.ndarray") -> "np.ndarray":
     # BoundedSum.pair iterated: min(1, acc + row) per step.
     acc = matrix[0]
     for row in matrix[1:]:
-        acc = _np.minimum(1.0, acc + row)
+        acc = np.minimum(1.0, acc + row)
     return acc
 
 
 def _arithmetic_mean_kernel(matrix: "np.ndarray") -> "np.ndarray":
     # add.reduce over axis 0 is a sequential row fold — identical to
     # Python's sum() order, so the quotient matches bit for bit.
-    return _np.add.reduce(matrix, axis=0) / matrix.shape[0]
+    return np.add.reduce(matrix, axis=0) / matrix.shape[0]
 
 
 def _geometric_mean_kernel(matrix: "np.ndarray") -> "np.ndarray":
     # The product fold is exact; the final ** (1/m) is numpy's pow,
     # which may differ from libm by one ulp (documented tolerance).
-    return _np.multiply.reduce(matrix, axis=0) ** (1.0 / matrix.shape[0])
+    return np.multiply.reduce(matrix, axis=0) ** (1.0 / matrix.shape[0])
 
 
 def _harmonic_mean_kernel(matrix: "np.ndarray") -> "np.ndarray":
@@ -246,9 +230,9 @@ def _harmonic_mean_kernel(matrix: "np.ndarray") -> "np.ndarray":
     # branches; errstate silences the intentional division by zero and
     # the overflow a subnormal grade's reciprocal triggers (the scalar
     # path overflows to inf silently; values agree either way).
-    with _np.errstate(divide="ignore", over="ignore"):
-        return matrix.shape[0] / _np.add.reduce(
-            _np.divide(1.0, matrix), axis=0
+    with np.errstate(divide="ignore", over="ignore"):
+        return matrix.shape[0] / np.add.reduce(
+            np.divide(1.0, matrix), axis=0
         )
 
 
@@ -256,7 +240,7 @@ def _median_kernel_factory(aggregation: "AggregationFunction"):
     def kernel(matrix: "np.ndarray") -> "np.ndarray":
         # The *lower* median, as Median.aggregate takes it — not
         # np.median, which averages the middle pair for even m.
-        return _np.sort(matrix, axis=0)[(matrix.shape[0] - 1) // 2]
+        return np.sort(matrix, axis=0)[(matrix.shape[0] - 1) // 2]
 
     return kernel
 
@@ -289,7 +273,7 @@ def _weighted_geometric_factory(aggregation):
             term = row**w
             acc = term if acc is None else acc * term
         if acc is None:  # pragma: no cover - all-zero weights are rejected
-            return _np.ones(matrix.shape[1])
+            return np.ones(matrix.shape[1])
         return acc
 
     return kernel

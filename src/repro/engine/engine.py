@@ -32,9 +32,8 @@ facade)::
     batch = engine.run_many(queries, k=10, parallel=8)
 
 Every run flows through the same machinery: the planner's strategy
-table is the engine's :mod:`~repro.engine.registry`, the executor's
-accounting is Section 5's cost model, and ``Garlic`` itself is now a
-thin deprecation shim over this class.
+table is the engine's :mod:`~repro.engine.registry`, and the executor's
+accounting is Section 5's cost model.
 """
 
 from __future__ import annotations
@@ -789,38 +788,56 @@ class Engine:
             return StrategyChoice(
                 strategy, "algorithm instance supplied by caller"
             )
-        if (
-            strategy is None
-            and contract is not None
-            and contract.epsilon > 0.0
-            and aggregation.monotone
-            and self._random_access
-        ):
-            # ε-approximate contract: the default pick would be A0,
-            # whose match-count stop cannot exploit the relaxation (it
-            # observes no grades). TA's threshold stop can — steer the
-            # auto-selection to it so paying ε buys fewer accesses.
-            # Forced strategies and non-random-access workloads (NRA,
-            # which also honours ε) are left alone.
-            choice = select_strategy(
-                aggregation,
-                num_lists,
-                random_access=self._random_access,
-                cost_model=self.context.cost_model,
-                require="threshold",
-            )
-            return StrategyChoice(
-                choice.algorithm,
-                f"ε={contract.epsilon:g} approximate contract: TA's "
-                "θ/(1+ε) stopping rule converts the slack into early "
-                "termination (A0's match-count stop cannot)",
-            )
+        steered = self._steer_epsilon(
+            aggregation, num_lists, strategy, contract, self._random_access
+        )
+        if steered is not None:
+            return steered
         return select_strategy(
             aggregation,
             num_lists,
             random_access=self._random_access,
             cost_model=self.context.cost_model,
             require=strategy,
+        )
+
+    def _steer_epsilon(
+        self,
+        aggregation: AggregationFunction,
+        num_lists: int,
+        strategy: "str | TopKAlgorithm | None",
+        contract: "QualityContract | None",
+        random_access: bool,
+    ) -> StrategyChoice | None:
+        """TA for an auto-selected ε > 0 query, or None to select as usual.
+
+        Under an ε-approximate contract the default pick would be A0,
+        whose match-count stop cannot exploit the relaxation (it
+        observes no grades). TA's threshold stop can, so paying ε buys
+        fewer accesses. Forced strategies, non-monotone aggregations
+        and workloads without random access (NRA, which also honours
+        ε) are left alone.
+        """
+        if (
+            strategy is not None
+            or contract is None
+            or contract.epsilon <= 0.0
+            or not aggregation.monotone
+            or not random_access
+        ):
+            return None
+        choice = select_strategy(
+            aggregation,
+            num_lists,
+            random_access=True,
+            cost_model=self.context.cost_model,
+            require="threshold",
+        )
+        return StrategyChoice(
+            choice.algorithm,
+            f"ε={contract.epsilon:g} approximate contract: TA's "
+            "θ/(1+ε) stopping rule converts the slack into early "
+            "termination (A0's match-count stop cannot)",
         )
 
     # ------------------------------------------------------------------
@@ -992,35 +1009,22 @@ class Engine:
                 shape.random_access,
                 self.context.cost_model,
             )
-        if (
-            contract.epsilon > 0.0
-            and strategy is None
-            and isinstance(plan, AlgorithmPlan)
-            and plan.aggregation is not None
-            and plan.aggregation.monotone
-            and self._random_access_ok(plan.atoms)
-        ):
-            # Same steering as the source path: the ε slack only pays
-            # off through TA's threshold stop, so swap it in for the
+        if isinstance(plan, AlgorithmPlan) and plan.aggregation is not None:
+            # Same steering as the source path, swapped in for the
             # planner's static pick (cached plans are keyed by the
             # ε-aware shape, and the swap happens after the cache, so
             # exact traffic never sees a steered plan).
-            steered = select_strategy(
+            steered = self._steer_epsilon(
                 plan.aggregation,
                 len(plan.atoms),
-                random_access=True,
-                cost_model=self.context.cost_model,
-                require="threshold",
+                strategy,
+                contract,
+                self._random_access_ok(plan.atoms),
             )
-            plan = _dc_replace(
-                plan,
-                algorithm=steered.algorithm,
-                reason=(
-                    f"ε={contract.epsilon:g} approximate contract: TA's "
-                    "θ/(1+ε) stopping rule converts the slack into "
-                    "early termination"
-                ),
-            )
+            if steered is not None:
+                plan = _dc_replace(
+                    plan, algorithm=steered.algorithm, reason=steered.reason
+                )
         started = perf_counter()
         answer = self._executor().execute(plan, k, contract=contract)
         elapsed = perf_counter() - started

@@ -225,8 +225,8 @@ def register_strategy(
     """Register a top-k strategy under ``name`` (idempotent per name).
 
     Called at import time by each algorithm module — the registry is
-    how :func:`select_strategy` (and through it the planner and the
-    deprecated ``choose_algorithm``) finds algorithms. Re-registering
+    how :func:`select_strategy` (and through it the planner) finds
+    algorithms. Re-registering
     the same name replaces the entry, so module reloads stay safe.
     """
     registration = StrategyRegistration(

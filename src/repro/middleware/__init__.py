@@ -14,9 +14,7 @@ from repro.middleware.conjunction_modes import (
     ModeComparison,
     compare_conjunction_modes,
 )
-from repro.middleware.cursor import QueryCursor
 from repro.middleware.executor import Executor, QueryAnswer
-from repro.middleware.garlic import Garlic
 from repro.middleware.parser import parse_query, render_query
 from repro.middleware.plan import (
     AlgorithmPlan,
@@ -28,13 +26,11 @@ from repro.middleware.plan import (
 from repro.middleware.planner import Planner, PlannerOptions
 
 __all__ = [
-    "Garlic",
     "Catalog",
     "Planner",
     "PlannerOptions",
     "Executor",
     "QueryAnswer",
-    "QueryCursor",
     "parse_query",
     "render_query",
     "CompiledQueryAggregation",

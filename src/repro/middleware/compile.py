@@ -27,7 +27,7 @@ from __future__ import annotations
 from typing import Callable, Sequence
 
 from repro.core.aggregation import AggregationFunction
-from repro.core.kernels import HAVE_NUMPY, kernel_for, stack_rows
+from repro.core.kernels import kernel_for, stack_rows
 from repro.core.negations import StandardNegation
 from repro.core.query import And, AtomicQuery, Ft, Not, Or, Query
 from repro.core.semantics import FuzzySemantics
@@ -65,7 +65,7 @@ class CompiledQueryAggregation(AggregationFunction):
         self.monotone = classification.monotone
         self.strict = classification.strict
         self.name = f"compiled({query!r})"
-        if vectorize and HAVE_NUMPY:
+        if vectorize:
             column_plan = self._compile_columns(
                 query, {atom: i for i, atom in enumerate(self.atoms)}
             )

@@ -31,13 +31,11 @@ import pickle
 import struct
 from dataclasses import dataclass
 
+import numpy as np
+
 from repro.access.columnar import ColumnarScoringDatabase, rank_orders
-from repro.core.kernels import HAVE_NUMPY
 from repro.exceptions import ShardingError
 from repro.sharding.shm import attach_segment, create_segment
-
-if HAVE_NUMPY:
-    import numpy as _np
 
 __all__ = ["ShardSpec", "attach_store", "partition_columnar", "shard_bounds"]
 
@@ -95,11 +93,6 @@ def partition_columnar(
     ``close()`` and ``unlink()`` each when done (ShardedEngine does
     this in :meth:`~repro.sharding.engine.ShardedEngine.close`).
     """
-    if not HAVE_NUMPY:
-        raise ShardingError(
-            "sharded execution requires numpy (shared-memory segments "
-            "hold raw float64/int64 columns)"
-        )
     bounds = shard_bounds(store.num_objects, num_shards)
     objects = store.interned_objects
     matrix = store.grades_matrix()  # (m, N) float64, ground truth
@@ -110,7 +103,7 @@ def partition_columnar(
     try:
         for s, (start, end) in enumerate(bounds):
             shard_objects = objects[start:end]
-            shard_matrix = _np.ascontiguousarray(matrix[:, start:end])
+            shard_matrix = np.ascontiguousarray(matrix[:, start:end])
             n = end - start
             orders = rank_orders(shard_objects, list(shard_matrix))
 
@@ -149,12 +142,12 @@ def partition_columnar(
             buf = segment.buf
             buf[0:8] = struct.pack("<Q", len(header))
             buf[8 : 8 + len(header)] = header
-            columns_view = _np.frombuffer(
-                buf, dtype=_np.float64, count=m * n, offset=columns_offset
+            columns_view = np.frombuffer(
+                buf, dtype=np.float64, count=m * n, offset=columns_offset
             ).reshape(m, n)
             columns_view[:] = shard_matrix
-            orders_view = _np.frombuffer(
-                buf, dtype=_np.int64, count=m * n, offset=orders_offset
+            orders_view = np.frombuffer(
+                buf, dtype=np.int64, count=m * n, offset=orders_offset
             ).reshape(m, n)
             for i, order in enumerate(orders):
                 orders_view[i] = order
@@ -187,8 +180,6 @@ def attach_store(spec: ShardSpec):
     it afterwards. No grades are re-validated and no orders recomputed
     — attach is O(m) plus the header unpickle.
     """
-    if not HAVE_NUMPY:  # pragma: no cover - guarded at partition time
-        raise ShardingError("sharded execution requires numpy")
     segment = attach_segment(spec.token)
     try:
         buf = segment.buf
@@ -196,15 +187,15 @@ def attach_store(spec: ShardSpec):
         header = pickle.loads(bytes(buf[8 : 8 + header_len]))
         m = header["num_lists"]
         n = header["num_objects"]
-        columns = _np.frombuffer(
+        columns = np.frombuffer(
             buf,
-            dtype=_np.float64,
+            dtype=np.float64,
             count=m * n,
             offset=header["columns_offset"],
         ).reshape(m, n)
-        orders = _np.frombuffer(
+        orders = np.frombuffer(
             buf,
-            dtype=_np.int64,
+            dtype=np.int64,
             count=m * n,
             offset=header["orders_offset"],
         ).reshape(m, n)

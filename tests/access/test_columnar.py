@@ -1,5 +1,6 @@
 """Tests for the columnar scoring-database backend."""
 
+import numpy as np
 import pytest
 
 from repro.access.columnar import ColumnarScoringDatabase
@@ -50,6 +51,13 @@ class TestConstruction:
         )
         assert db.grade(0, ("x", 1)) == 0.9
         assert db.grade(1, "y") == 0.8
+        # The key-sorted orders of non-integer ids are frozen arrays
+        # too, shared as-is by the depth index.
+        index = db.depth_index()
+        for i in range(db.num_lists):
+            order = db._orders[i]
+            assert isinstance(order, np.ndarray) and not order.flags.writeable
+            assert index.orders[i] is order
 
     def test_from_skeleton(self):
         rng = random.Random(5)

@@ -13,6 +13,7 @@ divergence from libm).
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -22,7 +23,6 @@ from repro.core.aggregation import (
     VectorizedAggregation,
 )
 from repro.core.kernels import (
-    HAVE_NUMPY,
     evaluate_columns,
     kernel_for,
     register_kernel,
@@ -90,7 +90,7 @@ def test_kernel_matches_scalar_fold(aggregation, bit_exact, rows):
     assert len(actual) == len(expected)
     for got, want in zip(actual, expected):
         assert isinstance(got, float)
-        if bit_exact and HAVE_NUMPY:
+        if bit_exact:
             assert got == want, (aggregation.name, got, want)
         else:
             assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
@@ -109,10 +109,7 @@ def test_weighted_kernels_match_scalar_fold(rows, raw_weights):
     arithmetic = WeightedArithmeticMean(raw_weights)
     expected = scalar_scores(arithmetic, rows)
     for got, want in zip(arithmetic.evaluate_columns(rows), expected):
-        if HAVE_NUMPY:
-            assert got == want
-        else:
-            assert math.isclose(got, want, rel_tol=1e-12)
+        assert got == want
 
     geometric = WeightedGeometricMean(raw_weights)
     expected = scalar_scores(geometric, rows)
@@ -121,7 +118,6 @@ def test_weighted_kernels_match_scalar_fold(rows, raw_weights):
         assert math.isclose(got, want, rel_tol=1e-12, abs_tol=1e-12)
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="kernels require numpy")
 def test_standard_aggregations_have_kernels():
     for aggregation, _ in KERNELED:
         assert kernel_for(aggregation) is not None, aggregation.name
@@ -148,10 +144,7 @@ def test_einstein_product_has_no_kernel_but_bulk_path_agrees():
     )
 
 
-@pytest.mark.skipif(not HAVE_NUMPY, reason="kernels require numpy")
 def test_vectorized_aggregation_capability_wins_over_registry():
-    import numpy as np
-
     class DoubledMin(VectorizedAggregation, AggregationFunction):
         name = "doubled-min"
 
@@ -175,9 +168,8 @@ def test_register_kernel_is_consulted_for_exact_type():
         def aggregate(self, grades):
             return grades[0] / 2.0
 
-    if HAVE_NUMPY:
-        register_kernel(Halver, lambda agg: (lambda matrix: matrix[0] / 2.0))
-        assert kernel_for(Halver()) is not None
+    register_kernel(Halver, lambda agg: (lambda matrix: matrix[0] / 2.0))
+    assert kernel_for(Halver()) is not None
     rows = [[0.2, 0.8]]
     assert Halver().evaluate_columns(rows) == [0.1, 0.4]
 

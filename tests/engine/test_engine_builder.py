@@ -134,15 +134,3 @@ class TestCatalogBacked:
     def test_plan_without_execution(self, fed_engine):
         plan = fed_engine.query('AlbumColor ~ "red"').plan()
         assert isinstance(plan, AlgorithmPlan)
-
-    def test_engine_matches_garlic_shim(self, fed_engine):
-        """The shim and the engine produce identical answers."""
-        text = '(Artist = "Beatles") AND (AlbumColor ~ "red")'
-        direct = fed_engine.query(text).top(4)
-        from repro.middleware.garlic import Garlic
-
-        garlic = Garlic()
-        garlic._engine = fed_engine  # same catalog, same context
-        with pytest.deprecated_call():
-            shimmed = garlic.query(text, k=4)
-        assert shimmed.items == direct.items

@@ -1,7 +1,7 @@
 """End-to-end integration: the full CD-store pipeline of Section 2.
 
 Builds the complete federated stack (relational + QBIC + text
-subsystems behind Garlic) and runs the paper's queries, checking
+subsystems behind the catalog-backed Engine) and runs the paper's queries, checking
 answers against an exhaustive oracle and cost accounting against the
 strategy expectations.
 """
@@ -11,7 +11,7 @@ import pytest
 from repro.algorithms.base import is_valid_top_k
 from repro.core.graded_set import GradedSet
 from repro.core.semantics import STANDARD_FUZZY
-from repro.middleware.garlic import Garlic
+from repro.engine import Engine, ExecutionContext
 from repro.middleware.parser import parse_query
 from repro.middleware.planner import PlannerOptions
 from repro.subsystems.qbic import QbicSubsystem
@@ -23,7 +23,9 @@ from repro.workloads.datasets import cd_store
 @pytest.fixture(scope="module")
 def stack():
     albums = cd_store(150, seed=13)
-    garlic = Garlic(options=PlannerOptions(selectivity_threshold=0.25))
+    garlic = Engine(
+        ExecutionContext(planner=PlannerOptions(selectivity_threshold=0.25))
+    )
     garlic.register(
         RelationalSubsystem(
             "store-db",
@@ -84,7 +86,7 @@ QUERIES = [
 def test_answers_match_oracle(stack, query_text):
     __, garlic = stack
     k = 6
-    answer = garlic.query(query_text, k=k)
+    answer = garlic.query(query_text).top(k)
     truth = _oracle(garlic, query_text)
     assert is_valid_top_k(answer.items, truth, k)
 
@@ -101,7 +103,7 @@ def test_every_strategy_exercised(stack):
 def test_federated_cost_is_sublinear_for_conjunction(stack):
     """The Section 1 promise, at the federated level."""
     __, garlic = stack
-    answer = garlic.query('(AlbumColor ~ "red") AND (Shape ~ "round")', k=5)
+    answer = garlic.query('(AlbumColor ~ "red") AND (Shape ~ "round")').top(5)
     n = garlic.catalog.num_objects
     assert answer.result.stats.sum_cost < 2 * n  # beats the naive scan
 
@@ -110,14 +112,14 @@ def test_incremental_next_k_via_two_queries(stack):
     """Top-10 equals top-5 followed by next-5 (grade-wise)."""
     __, garlic = stack
     text = '(AlbumColor ~ "red") AND (Shape ~ "round")'
-    top10 = garlic.query(text, k=10)
-    top5 = garlic.query(text, k=5)
+    top10 = garlic.query(text).top(10)
+    top5 = garlic.query(text).top(5)
     assert top10.result.grades()[:5] == pytest.approx(top5.result.grades())
 
 
 def test_crisp_only_query(stack):
     albums, garlic = stack
-    answer = garlic.query('Artist = "Beatles"', k=5)
+    answer = garlic.query('Artist = "Beatles"').top(5)
     by_id = {a.album_id: a for a in albums}
     for item in answer.items:
         assert item.grade == 1.0

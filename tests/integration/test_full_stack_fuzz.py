@@ -16,7 +16,7 @@ from hypothesis import given, settings
 from repro.algorithms.base import is_valid_top_k
 from repro.core.graded_set import GradedSet
 from repro.core.query import And, AtomicQuery, Or, Weighted
-from repro.middleware.garlic import Garlic
+from repro.engine import Engine, ExecutionContext
 from repro.middleware.planner import PlannerOptions
 from repro.subsystems.relational import RelationalSubsystem
 from repro.subsystems.synthetic import SyntheticSubsystem
@@ -34,10 +34,12 @@ CRISP_ATOMS = (
 )
 
 
-def _build_garlic(seed: int, threshold: float) -> Garlic:
+def _build_garlic(seed: int, threshold: float) -> Engine:
     rng = random.Random(seed)
-    garlic = Garlic(
-        options=PlannerOptions(selectivity_threshold=threshold)
+    garlic = Engine(
+        ExecutionContext(
+            planner=PlannerOptions(selectivity_threshold=threshold)
+        )
     )
     garlic.register(
         RelationalSubsystem(
@@ -79,7 +81,7 @@ def monotone_queries(draw, depth=2):
     return Weighted(operands, weights)
 
 
-def _oracle(garlic: Garlic, query) -> GradedSet:
+def _oracle(garlic: Engine, query) -> GradedSet:
     atom_sets = {}
     for a in query.atoms():
         src = garlic.catalog.subsystem_for(a).evaluate(a)
@@ -99,7 +101,7 @@ class TestFullStackFuzz:
     @settings(max_examples=120, deadline=None)
     def test_planned_answer_matches_oracle(self, query, seed, k, threshold):
         garlic = _build_garlic(seed, threshold)
-        answer = garlic.query(query, k=k)
+        answer = garlic.query(query).top(k)
         truth = _oracle(garlic, query)
         assert is_valid_top_k(answer.items, truth, k), (
             f"plan {type(answer.plan).__name__} wrong for {query!r} "
@@ -126,6 +128,6 @@ class TestFullStackFuzz:
         query = And(
             (Not(CRISP_ATOMS[0]), GRADED_ATOMS[0])
         )
-        answer = garlic.query(query, k=5)
+        answer = garlic.query(query).top(5)
         truth = _oracle(garlic, query)
         assert is_valid_top_k(answer.items, truth, 5)

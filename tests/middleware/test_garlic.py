@@ -1,8 +1,9 @@
-"""End-to-end tests for the Garlic facade on the CD-store example."""
+"""End-to-end tests for the Garlic middleware (the catalog-backed
+:class:`~repro.engine.engine.Engine`) on the CD-store example."""
 
 import pytest
 
-from repro.middleware.garlic import Garlic
+from repro.engine import Engine, ExecutionContext
 from repro.middleware.planner import PlannerOptions
 from repro.subsystems.qbic import QbicSubsystem
 from repro.subsystems.relational import RelationalSubsystem
@@ -11,7 +12,9 @@ from repro.subsystems.text import TextSubsystem
 
 @pytest.fixture
 def garlic(albums):
-    g = Garlic(options=PlannerOptions(selectivity_threshold=0.25))
+    g = Engine(
+        ExecutionContext(planner=PlannerOptions(selectivity_threshold=0.25))
+    )
     g.register(
         RelationalSubsystem(
             "store-db",
@@ -51,8 +54,8 @@ class TestRunningExample:
         """The paper's flagship query returns only Beatles albums,
         sorted by closeness to red."""
         answer = garlic.query(
-            '(Artist = "Beatles") AND (AlbumColor ~ "red")', k=4
-        )
+            '(Artist = "Beatles") AND (AlbumColor ~ "red")'
+        ).top(4)
         by_id = {a.album_id: a for a in albums}
         returned = [by_id[item.obj] for item in answer.items]
         assert all(a.artist == "Beatles" for a in returned)
@@ -62,43 +65,41 @@ class TestRunningExample:
         assert returned[0].title in ("Sgt. Pepper", "Please Please Me")
 
     def test_color_and_shape(self, garlic):
-        answer = garlic.query('(AlbumColor ~ "red") AND (Shape ~ "round")', k=5)
+        answer = garlic.query('(AlbumColor ~ "red") AND (Shape ~ "round")').top(5)
         assert answer.result.k == 5
         assert answer.plan.explain()
 
     def test_disjunction_uses_b0(self, garlic):
-        answer = garlic.query(
-            '(AlbumColor ~ "red") OR (Shape ~ "round")', k=5
-        )
+        answer = garlic.query('(AlbumColor ~ "red") OR (Shape ~ "round")').top(5)
         assert answer.result.algorithm == "B0"
         assert answer.result.stats.sum_cost == 10
 
     def test_text_subsystem_integration(self, garlic, albums):
-        answer = garlic.query('Blurb ~ "luminous jazz record"', k=5)
+        answer = garlic.query('Blurb ~ "luminous jazz record"').top(5)
         assert answer.result.k == 5
         assert all(item.grade > 0 for item in answer.items[:1])
 
     def test_weighted_query(self, garlic):
         answer = garlic.query(
-            'WEIGHTED(2: AlbumColor ~ "red", 1: Shape ~ "round")', k=3
-        )
+            'WEIGHTED(2: AlbumColor ~ "red", 1: Shape ~ "round")'
+        ).top(3)
         assert answer.result.k == 3
 
     def test_negation_falls_back_to_full_scan(self, garlic):
-        answer = garlic.query('NOT (Genre = "rock") AND (Blurb ~ "soul")', k=3)
+        answer = garlic.query('NOT (Genre = "rock") AND (Blurb ~ "soul")').top(3)
         assert answer.result.algorithm == "naive"
 
     def test_parsed_query_object_accepted(self, garlic):
         from repro.middleware.parser import parse_query
 
         q = parse_query('(AlbumColor ~ "red") AND (Shape ~ "round")')
-        answer = garlic.query(q, k=2)
+        answer = garlic.query(q).top(2)
         assert answer.result.k == 2
 
 
 class TestFacade:
     def test_explain_without_execution(self, garlic):
-        text = garlic.explain('(AlbumColor ~ "red") AND (Shape ~ "round")')
+        text = garlic.plan('(AlbumColor ~ "red") AND (Shape ~ "round")').explain()
         assert "A0-prime" in text
 
     def test_plan_exposed(self, garlic):
@@ -107,10 +108,10 @@ class TestFacade:
 
     def test_invalid_conjunction_mode(self, garlic):
         with pytest.raises(ValueError, match="external"):
-            garlic.query('AlbumColor ~ "red"', conjunction="sideways")
+            garlic.query('AlbumColor ~ "red"').conjunction("sideways").top()
 
     def test_register_chains(self, albums):
-        g = Garlic()
+        g = Engine()
         returned = g.register(
             RelationalSubsystem(
                 "r", {a.album_id: {"Artist": a.artist} for a in albums}
@@ -124,10 +125,10 @@ class TestFacade:
 
 class TestConjunctionModes:
     def test_internal_mode_pushdown(self, garlic):
-        answer = garlic.query(
-            '(AlbumColor ~ "red") AND (Texture ~ "cd-0000")',
-            k=3,
-            conjunction="internal",
+        answer = (
+            garlic.query('(AlbumColor ~ "red") AND (Texture ~ "cd-0000")')
+            .conjunction("internal")
+            .top(3)
         )
         assert answer.result.algorithm == "internal-conjunction"
         assert answer.result.stats.sum_cost == 3

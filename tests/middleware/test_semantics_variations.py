@@ -1,4 +1,5 @@
-"""Garlic under non-standard fuzzy semantics.
+"""The Garlic middleware (a catalog-backed Engine) under non-standard
+fuzzy semantics.
 
 Section 3 surveys many conjunction/disjunction rules; the middleware
 must stay correct (and appropriately conservative) when configured
@@ -16,7 +17,7 @@ from repro.core.graded_set import GradedSet
 from repro.core.semantics import FuzzySemantics
 from repro.core.tconorms import ALGEBRAIC_SUM, BOUNDED_SUM
 from repro.core.tnorms import ALGEBRAIC_PRODUCT, BOUNDED_DIFFERENCE
-from repro.middleware.garlic import Garlic
+from repro.engine import Engine, ExecutionContext
 from repro.middleware.parser import parse_query
 from repro.subsystems.qbic import QbicSubsystem
 
@@ -31,7 +32,7 @@ LUKASIEWICZ_SEMANTICS = FuzzySemantics(
 def _garlic(semantics):
     rng = random.Random(31)
     objs = [f"o{i}" for i in range(80)]
-    g = Garlic(semantics=semantics)
+    g = Engine(ExecutionContext(semantics=semantics))
     g.register(
         QbicSubsystem(
             "qbic",
@@ -71,12 +72,12 @@ DISJUNCTION = '(Color ~ "red") OR (Shape ~ "round")'
 class TestNonStandardSemantics:
     def test_conjunction_answers_match_oracle(self, semantics):
         garlic = _garlic(semantics)
-        answer = garlic.query(CONJUNCTION, k=5)
+        answer = garlic.query(CONJUNCTION).top(5)
         assert is_valid_top_k(answer.items, _oracle(garlic, CONJUNCTION), 5)
 
     def test_disjunction_answers_match_oracle(self, semantics):
         garlic = _garlic(semantics)
-        answer = garlic.query(DISJUNCTION, k=5)
+        answer = garlic.query(DISJUNCTION).top(5)
         assert is_valid_top_k(answer.items, _oracle(garlic, DISJUNCTION), 5)
 
     def test_no_min_max_shortcuts(self, semantics):
@@ -95,7 +96,7 @@ class TestNonStandardSemantics:
 
     def test_still_sublinear(self, semantics):
         garlic = _garlic(semantics)
-        answer = garlic.query(CONJUNCTION, k=5)
+        answer = garlic.query(CONJUNCTION).top(5)
         n = garlic.catalog.num_objects
         assert answer.result.stats.sum_cost < 2 * n
 
@@ -103,8 +104,8 @@ class TestNonStandardSemantics:
         """The semantics genuinely changes grades (not just plumbing)."""
         garlic = _garlic(semantics)
         standard = _garlic(FuzzySemantics())
-        alt = garlic.query(CONJUNCTION, k=1).items[0]
-        std = standard.query(CONJUNCTION, k=1).items[0]
+        alt = garlic.query(CONJUNCTION).top(1).items[0]
+        std = standard.query(CONJUNCTION).top(1).items[0]
         assert alt.grade != pytest.approx(std.grade)
 
 
@@ -112,5 +113,5 @@ class TestWeightedUnderNonStandardSemantics:
     def test_weighted_query_uses_configured_tnorm(self):
         garlic = _garlic(PRODUCT_SEMANTICS)
         text = 'WEIGHTED(2: Color ~ "red", 1: Shape ~ "round")'
-        answer = garlic.query(text, k=5)
+        answer = garlic.query(text).top(5)
         assert is_valid_top_k(answer.items, _oracle(garlic, text), 5)

@@ -9,8 +9,6 @@ import multiprocessing
 
 import pytest
 
-np = pytest.importorskip("numpy")
-
 from repro.access import ColumnarScoringDatabase
 from repro.core.means import ARITHMETIC_MEAN
 from repro.core.tconorms import MAXIMUM

@@ -30,7 +30,6 @@ DOCTEST_MODULES = [
     "repro.core.parametric",
     "repro.algorithms.median",
     "repro.algorithms.hard_query",
-    "repro.algorithms.selection",
     "repro.analysis.bounds",
     "repro.analysis.fitting",
     "repro.analysis.tables",
@@ -57,7 +56,7 @@ def test_top_level_version():
 
 def test_headline_imports():
     """The README quickstart imports, verbatim."""
-    from repro import FaginA0, Garlic, MINIMUM, NaiveAlgorithm  # noqa: F401
+    from repro import Engine, FaginA0, MINIMUM, NaiveAlgorithm  # noqa: F401
     from repro.workloads import independent_database  # noqa: F401
 
 
