@@ -22,12 +22,15 @@ single access is charged.
   reproduces directly); anything else goes through the Python key
   sort. Either way the order is an ``ndarray`` of interned ids.
 
-Sessions are minted in O(m): each source is a cursor over the shared,
-pre-built ranking tuple and grade map (:class:`ColumnarSource`),
-so repeated runs — the benchmark regime — pay for accesses, not for
-re-sorting. Access-count semantics are untouched: the sources speak
-the same sorted/random (and batched) protocol through the same
-instrumented wrappers.
+Sessions are minted in O(m) and cost only their arrays: each source
+(:class:`ColumnarSource`) is a cursor over the store's frozen column
+and rank order. The Python ranking tuple and grade map that the
+sequential protocol (``next_sorted``, ``sorted_access_batch``,
+``random_access[_many]``) reads are built once per store, on the first
+sequential call any session makes, and then shared; traffic that only
+takes the depth-block path never builds them. Access-count semantics
+are untouched: the sources speak the same sorted/random (and batched)
+protocol through the same instrumented wrappers.
 
 The numpy columns additionally feed the *computation* phase:
 :meth:`ColumnarScoringDatabase.grades_matrix` gathers any subset of
@@ -46,19 +49,21 @@ trackers — lives in the per-query :class:`MiddlewareSession` objects
 shared between threads. The only writes after construction are the
 lazy, idempotent memoisations of :meth:`ranking` / :meth:`_grade_map`
 and of the :class:`DepthIndex`, which are double-checked under an
-internal lock; once warm, minting a session is lock-free O(m).
+internal lock; once the index is warm, minting a session is lock-free
+O(m).
 
 **Depth blocks.** Sessions carry the store's :class:`DepthIndex`, and
-their sources are :class:`ColumnarSource` objects, which add ``sorted_access_block`` / ``random_access_block`` over
-interned ids. A0, A0′ and TA use the index to find where their
-sequential run would stop, then make exactly that run's accesses in
-one block per list (:mod:`repro.algorithms.block`).
+their sources add ``sorted_access_block`` / ``random_access_block``
+over interned ids. A0, A0′, TA, NRA and the naive scan use the index
+to find where their sequential run would stop, then make exactly that
+run's accesses in one block per list (:mod:`repro.algorithms.block`).
 """
 
 from __future__ import annotations
 
 import threading
-from typing import Mapping, Sequence
+from functools import cached_property
+from typing import Callable, Mapping, Sequence
 
 import numpy as np
 
@@ -146,6 +151,26 @@ def _validated_column(
     )
 
 
+def _grade_row(row: Sequence[float], n: int):
+    """``row`` as a numpy vector if it is n non-increasing reals in
+    [0, 1] (what :meth:`ScoringDatabase.from_skeleton
+    <repro.access.scoring_database.ScoringDatabase.from_skeleton>`
+    accepts), else None."""
+    try:
+        values = np.asarray(row)
+    except (TypeError, ValueError):
+        return None
+    if values.shape != (n,) or values.dtype.kind not in "biuf":
+        return None
+    if values.dtype.kind == "f" and np.isnan(values).any():
+        return None
+    if n and not (values[-1] >= 0 and values[0] <= 1):
+        return None
+    if (values[1:] > values[:-1]).any():
+        return None
+    return values
+
+
 class DepthIndex:
     """Where every object sits in every list's rank order, frozen.
 
@@ -160,15 +185,20 @@ class DepthIndex:
     ranks:
         (m, N) int32; ``ranks[i][j]`` is object j's 0-based position in
         list i.
-    match_depths:
-        Sorted ascending: for every object, the depth at which it has
-        appeared in all m lists. A0's stop at k matches is
-        ``match_depths[k - 1]``.
+    match_order / match_depths:
+        Objects ordered by the depth at which they have appeared in all
+        m lists, and those depths (ascending). A0's stop at k matches
+        is ``match_depths[k - 1]``; the objects whose grades are all
+        known at depth d are the prefix ``match_order[:match_count(d)]``.
     first_seen / first_depths:
         Objects ordered by the depth at which some list first delivers
         them, and those depths (ascending). The objects seen by depth d
         are the prefix ``first_seen[:searchsorted(first_depths, d,
         "right")]``.
+    seen_grades / seen_deepest:
+        The (m, N) grade columns and every object's deepest rank, with
+        objects in ``first_seen`` order, so the objects seen by a depth
+        are a slice.
     first_list:
         For every object, the list that delivers it first in
         round-major order (lowest rank, then lowest list index) — the
@@ -180,9 +210,12 @@ class DepthIndex:
         "columns",
         "orders",
         "ranks",
+        "match_order",
         "match_depths",
         "first_seen",
         "first_depths",
+        "seen_grades",
+        "seen_deepest",
         "first_list",
     )
 
@@ -196,19 +229,28 @@ class DepthIndex:
         for i, order in enumerate(self.orders):
             ranks[i, order] = positions
         self.ranks = ranks
-        self.match_depths = np.sort(ranks.max(axis=0)) + 1
+        deepest = ranks.max(axis=0)
+        self.match_order = np.argsort(deepest, kind="stable")
+        self.match_depths = deepest[self.match_order] + 1
         shallowest = ranks.min(axis=0)
         self.first_seen = np.argsort(shallowest, kind="stable")
         self.first_depths = shallowest[self.first_seen] + 1
+        self.seen_grades = np.vstack(
+            [column[self.first_seen] for column in self.columns]
+        )
+        self.seen_deepest = deepest[self.first_seen]
         self.first_list = ranks.argmin(axis=0).astype(
             np.min_scalar_type(len(self.orders) - 1)
         )
         for arr in (
             *self.orders,
             ranks,
+            self.match_order,
             self.match_depths,
             self.first_seen,
             self.first_depths,
+            self.seen_grades,
+            self.seen_deepest,
             self.first_list,
         ):
             arr.flags.writeable = False
@@ -236,20 +278,39 @@ class ColumnarSource(MaterializedSource):
     """One store list: the sequential protocol plus interned-id blocks.
 
     The sequential methods are :class:`MaterializedSource`'s, over the
-    store's shared ranking tuple and grade map. The two block methods
-    speak interned ids and numpy arrays; like every access method they
-    are charged by the :class:`~repro.access.source.InstrumentedSource`
-    around this source, one unit per object.
+    store's shared ranking tuple and grade map. A source is minted
+    without them: its first sequential call fetches them from the
+    store (which builds each once, on the first call from any session)
+    and keeps them on the instance, so later calls cost what a
+    :class:`MaterializedSource`'s do. The two block methods speak
+    interned ids and numpy arrays and never build them. Like every
+    access method they are charged by the
+    :class:`~repro.access.source.InstrumentedSource` around this
+    source, one unit per object.
     """
 
-    @classmethod
-    def over_store(
-        cls, name: str, items, grades, order, column
-    ) -> "ColumnarSource":
-        source = cls.trusted(name, items, grades)
-        source._order = order
-        source._column = column
-        return source
+    def __init__(self, store: "ColumnarScoringDatabase", list_index: int) -> None:
+        self.name = f"list-{list_index}"
+        self._store = store
+        self._list_index = list_index
+        self._order = store._orders[list_index]
+        self._column = store._columns[list_index]
+        self._cursor = 0
+
+    @cached_property
+    def _items(self) -> tuple[GradedItem, ...]:
+        return self._store.ranking(self._list_index)
+
+    @cached_property
+    def _grades(self) -> Mapping[ObjectId, float]:
+        return self._store._grade_map(self._list_index)
+
+    def __len__(self) -> int:
+        return len(self._order)
+
+    def fork(self) -> "ColumnarSource":
+        """A fresh cursor over the same store list, at the top."""
+        return ColumnarSource(self._store, self._list_index)
 
     def sorted_access_block(self, count: int):
         """The next ``count`` objects under sorted access, as
@@ -284,6 +345,9 @@ class ColumnarScoringDatabase:
         to grade. All lists must grade exactly the same objects.
     """
 
+    #: Built on first use by :meth:`depth_index`, under the mint lock.
+    _depth_index: DepthIndex | None = None
+
     def __init__(
         self, lists: Sequence[Mapping[ObjectId, float] | GradedSet]
     ) -> None:
@@ -309,22 +373,25 @@ class ColumnarScoringDatabase:
                 )
             columns.append(_validated_column(mapping, objects, i))
 
+        self._freeze(objects, index, columns, rank_orders(objects, columns))
+
+    def _freeze(self, objects, index, columns, orders) -> None:
+        """Install the store's frozen arrays and its empty per-list memos."""
         self._objects = objects
         self._index = index
-        self._columns = columns
-        self._orders = rank_orders(objects, columns)
+        self._columns = list(columns)
+        self._orders = list(orders)
         # Enforce the shared-read-only contract: sessions and
         # ground-truth readers in any thread see frozen columns.
         for arr in (*self._columns, *self._orders):
             arr.flags.writeable = False
-        # Lazy shared per-list state minted sessions slice into. The
-        # builds are idempotent (pure functions of the frozen columns)
-        # and double-checked under the lock, so concurrent first mints
-        # neither duplicate work nor observe partial state.
+        # Lazy shared state built from the frozen arrays on first use.
+        # The builds are idempotent and double-checked under the lock,
+        # so concurrent first users neither duplicate work nor observe
+        # partial state.
         self._mint_lock = threading.Lock()
         self._rankings: list[tuple[GradedItem, ...] | None] = [None] * len(columns)
         self._grade_maps: list[dict[ObjectId, float] | None] = [None] * len(columns)
-        self._depth_index: DepthIndex | None = None
 
     # ------------------------------------------------------------------
     # Construction helpers
@@ -343,7 +410,7 @@ class ColumnarScoringDatabase:
         caller vouches for validity and for the shared-read-only
         contract — the arrays are re-marked non-writeable here, but
         no grades are range-checked and no orders recomputed, so attach
-        is O(m), not O(N log N).
+        costs one O(N) id-to-index dict, not an O(N log N) sort.
         """
         if not columns or len(orders) != len(columns):
             raise ValueError(
@@ -352,17 +419,11 @@ class ColumnarScoringDatabase:
             )
         if not objects:
             raise ValueError("a scoring database needs at least one object")
+        objects = tuple(objects)
         self = cls.__new__(cls)
-        self._objects = tuple(objects)
-        self._index = {obj: idx for idx, obj in enumerate(self._objects)}
-        self._columns = list(columns)
-        self._orders = list(orders)
-        for arr in (*self._columns, *self._orders):
-            arr.flags.writeable = False
-        self._mint_lock = threading.Lock()
-        self._rankings = [None] * len(self._columns)
-        self._grade_maps = [None] * len(self._columns)
-        self._depth_index = None
+        self._freeze(
+            objects, {obj: idx for idx, obj in enumerate(objects)}, columns, orders
+        )
         return self
 
     @classmethod
@@ -374,13 +435,41 @@ class ColumnarScoringDatabase:
     def from_skeleton(
         cls, skeleton, grade_rows: Sequence[Sequence[float]]
     ) -> "ColumnarScoringDatabase":
-        """Assign grades along a skeleton's permutations (see
-        :meth:`ScoringDatabase.from_skeleton`); columnar from the start."""
-        from repro.access.scoring_database import ScoringDatabase
+        """Assign grades along a skeleton's permutations, straight into
+        columns.
 
-        return cls.from_scoring_database(
-            ScoringDatabase.from_skeleton(skeleton, grade_rows)
-        )
+        ``grade_rows[i]`` is a non-increasing grade sequence for list i
+        (grade of its rank-1 object first). The store equals
+        columnarising :meth:`ScoringDatabase.from_skeleton
+        <repro.access.scoring_database.ScoringDatabase.from_skeleton>`'s
+        database — objects interned in the first permutation's order,
+        the same columns and orders — but the rows are checked with
+        numpy and each goes into its column with one scatter instead of
+        through per-list dicts. Rows that fail a check take the
+        row-oriented build, which raises its own error for them.
+        """
+        perms = skeleton.permutations
+        rows = [_grade_row(row, len(perm)) for row, perm in zip(grade_rows, perms)]
+        if not perms[0] or len(grade_rows) != len(perms) or any(
+            values is None for values in rows
+        ):
+            # Some check fails: the row-oriented build raises its error.
+            from repro.access.scoring_database import ScoringDatabase
+
+            return cls.from_scoring_database(
+                ScoringDatabase.from_skeleton(skeleton, grade_rows)
+            )
+        objects = perms[0]
+        index = {obj: idx for idx, obj in enumerate(objects)}
+        columns = []
+        for perm, values in zip(perms, rows):
+            positions = np.fromiter(map(index.__getitem__, perm), np.intp, len(perm))
+            column = np.empty(len(objects))
+            column[positions] = values
+            columns.append(column)
+        self = cls.__new__(cls)
+        self._freeze(objects, index, columns, rank_orders(objects, columns))
+        return self
 
     # ------------------------------------------------------------------
     # Dimensions and direct lookups
@@ -418,32 +507,37 @@ class ColumnarScoringDatabase:
         column = self._columns[list_index]
         return GradedSet(dict(zip(self._objects, column.tolist())))
 
-    def ranking(self, list_index: int) -> tuple[GradedItem, ...]:
-        """List ``i`` sorted for sorted access; built once, then shared."""
-        cached = self._rankings[list_index]
+    def _memo(self, slots: list, list_index: int, build: Callable[[int], object]):
+        """``slots[list_index]``, built by ``build`` on first use.
+
+        Double-checked under the mint lock, so concurrent first calls
+        build each entry exactly once and never observe a partial one.
+        """
+        cached = slots[list_index]
         if cached is None:
             with self._mint_lock:
-                cached = self._rankings[list_index]
+                cached = slots[list_index]
                 if cached is None:
-                    grades = self._columns[list_index].tolist()
-                    objects = self._objects
-                    cached = tuple(
-                        GradedItem(objects[j], grades[j])
-                        for j in self._orders[list_index].tolist()
-                    )
-                    self._rankings[list_index] = cached
+                    cached = slots[list_index] = build(list_index)
         return cached
 
+    def ranking(self, list_index: int) -> tuple[GradedItem, ...]:
+        """List ``i`` sorted for sorted access; built once, then shared."""
+        return self._memo(self._rankings, list_index, self._build_ranking)
+
     def _grade_map(self, list_index: int) -> dict[ObjectId, float]:
-        cached = self._grade_maps[list_index]
-        if cached is None:
-            with self._mint_lock:
-                cached = self._grade_maps[list_index]
-                if cached is None:
-                    grades = self._columns[list_index].tolist()
-                    cached = dict(zip(self._objects, grades))
-                    self._grade_maps[list_index] = cached
-        return cached
+        return self._memo(self._grade_maps, list_index, self._build_grade_map)
+
+    def _build_ranking(self, list_index: int) -> tuple[GradedItem, ...]:
+        grades = self._columns[list_index].tolist()
+        objects = self._objects
+        return tuple(
+            GradedItem(objects[j], grades[j])
+            for j in self._orders[list_index].tolist()
+        )
+
+    def _build_grade_map(self, list_index: int) -> dict[ObjectId, float]:
+        return dict(zip(self._objects, self._columns[list_index].tolist()))
 
     def depth_index(self) -> DepthIndex:
         """The store's :class:`DepthIndex`, built on first use."""
@@ -487,26 +581,17 @@ class ColumnarScoringDatabase:
     def session(self) -> MiddlewareSession:
         """A fresh instrumented session, minted without re-sorting.
 
-        Every source shares the database's pre-built ranking tuple and
-        grade map; only the per-session cursor and cost tracker are
-        new, so minting is O(m) instead of O(N * m). Minting is safe
-        from any thread (lock-free once the shared ranking is warm);
-        the returned session itself is single-consumer — give each
-        concurrent query its own.
+        Every source is a cursor over the store's frozen column and
+        rank order; only the per-session cursor and cost tracker are
+        new, so minting is O(m) instead of O(N * m). The shared ranking
+        tuple and grade map are built on the first sequential access
+        (see :class:`ColumnarSource`). Minting is safe from any thread
+        (lock-free once the depth index is warm); the returned session
+        itself is single-consumer — give each concurrent query its own.
         """
-        index = self.depth_index()
-        raw = [
-            ColumnarSource.over_store(
-                f"list-{i}",
-                self.ranking(i),
-                self._grade_map(i),
-                index.orders[i],
-                index.columns[i],
-            )
-            for i in range(self.num_lists)
-        ]
+        raw = [ColumnarSource(self, i) for i in range(self.num_lists)]
         return MiddlewareSession.over_sources(
-            raw, num_objects=self.num_objects, depth_index=index
+            raw, num_objects=self.num_objects, depth_index=self.depth_index()
         )
 
     def _all_scores(self, aggregation: AggregationFunction) -> list[float]:

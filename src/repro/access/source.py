@@ -270,11 +270,11 @@ class MaterializedSource(SortedRandomSource):
     ) -> "MaterializedSource":
         """A source over pre-validated shared state, minted in O(1).
 
-        The columnar backend calls this with a ranking tuple and grade
-        map it built (and validated) once per database, so minting a
-        fresh session does not re-sort, re-validate, or rebuild the
-        grade dictionary. Callers guarantee ``items`` is sorted
-        non-increasing and ``grades`` matches it.
+        Subsystem ranking caches call this with a ranking tuple and
+        grade map they built (and validated) once per cached
+        evaluation, so serving a cache hit does not re-sort,
+        re-validate, or rebuild the grade dictionary. Callers guarantee
+        ``items`` is sorted non-increasing and ``grades`` matches it.
         """
         source = cls.__new__(cls)
         source.name = name

@@ -23,6 +23,7 @@ from __future__ import annotations
 import numpy as np
 
 from repro.access.session import MiddlewareSession
+from repro.algorithms import block
 from repro.algorithms.base import TopKAlgorithm, TopKResult, top_k_of
 from repro.core.aggregation import AggregationFunction
 from repro.core.kernels import evaluate_columns
@@ -47,6 +48,9 @@ class NaiveAlgorithm(TopKAlgorithm):
         aggregation: AggregationFunction,
         k: int,
     ) -> TopKResult:
+        index = block.block_index(session, exact_for=aggregation)
+        if index is not None:
+            return block.naive(session, index, aggregation, k, self.name)
         # Drain every list, keeping each list's delivery as parallel
         # (object, grade) columns — the cheapest possible shape to
         # re-align by object afterwards.

@@ -31,6 +31,7 @@ from __future__ import annotations
 import heapq
 
 from repro.access.session import MiddlewareSession
+from repro.algorithms import block
 from repro.algorithms.base import TopKAlgorithm, TopKResult, top_k_of
 from repro.core.aggregation import AggregationFunction
 from repro.core.certify import EXACT, QualityContract
@@ -80,9 +81,12 @@ class NoRandomAccessAlgorithm(TopKAlgorithm):
                 "NRA requires a monotone aggregation; "
                 f"{aggregation.name!r} is declared non-monotone"
             )
+        rule = contract.stopping_rule()
+        index = block.block_index(session, exact_for=aggregation)
+        if index is not None:
+            return block.nra(session, index, aggregation, k, rule, self.name)
         m = session.num_lists
         sources = session.sources
-        rule = contract.stopping_rule()
         seen: dict[object, dict[int, float]] = {}
         bottoms = [1.0] * m
         rounds = 0

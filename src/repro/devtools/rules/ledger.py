@@ -11,8 +11,9 @@ decompose into ``AccessStats`` entries by construction.
 This rule flags the access paths that dodge that wrapper:
 
 * access methods on a **freshly minted raw source** —
-  ``MaterializedSource(…).next_sorted()``, an alternate constructor
-  such as ``ColumnarSource.over_store(…).sorted_access_block(n)``, or
+  ``MaterializedSource(…).next_sorted()``,
+  ``ColumnarSource(…).sorted_access_block(n)``, an alternate
+  constructor such as ``MaterializedSource.trusted(…)``, or
   through a local bound to one (``src = MaterializedSource(…);
   src.random_access(o)``) — raw mints never charge;
 * access methods on ``self.<attr>`` in a class that is **not itself a
@@ -66,7 +67,7 @@ def _is_raw_source_mint(node: ast.AST) -> bool:
     if last == "trusted":  # MaterializedSource.trusted fast-path mint
         return "Source" in callee
     if len(parts) > 1 and parts[-2].endswith("Source"):
-        # An alternate constructor (ColumnarSource.over_store(...)).
+        # An alternate constructor (SomeSource.from_x(...)).
         return parts[-2] != "InstrumentedSource"
     return last.endswith("Source") and last != "InstrumentedSource"
 

@@ -35,15 +35,17 @@ from repro.engine import Engine
 from repro.serving.app import ServingApp
 from repro.serving.config import ServingConfig
 from repro.serving.server import ServingServer
-from repro.workloads import independent_database
+from repro.workloads.skeletons import _independent_draw
 
 __all__ = ["build_engine", "main"]
 
 
 def build_engine(args: argparse.Namespace) -> Engine:
     if args.backing == "columnar":
-        store = ColumnarScoringDatabase.from_scoring_database(
-            independent_database(args.m, args.n, seed=args.seed)
+        # Straight into columns from the draw independent_database
+        # makes: the same store, without the row-oriented round trip.
+        store = ColumnarScoringDatabase.from_skeleton(
+            *_independent_draw(args.m, args.n, seed=args.seed)
         )
         if args.shards:
             # Multi-process serving: the store moves into shared-memory

@@ -83,9 +83,27 @@ def independent_database(
     >>> db.num_lists, db.num_objects
     (2, 100)
     """
+    return ScoringDatabase.from_skeleton(
+        *_independent_draw(
+            num_lists, num_objects, seed, distribution, distributions
+        )
+    )
+
+
+def _independent_draw(
+    num_lists: int,
+    num_objects: int,
+    seed: int | random.Random,
+    distribution: GradeDistribution | None = None,
+    distributions: Sequence[GradeDistribution] | None = None,
+) -> tuple[Skeleton, list[list[float]]]:
+    """The seeded skeleton and grade rows :func:`independent_database`
+    assigns; builders of other store layouts start from the same draw
+    (``ColumnarScoringDatabase.from_skeleton(*_independent_draw(...))``).
+    """
     rng = seed if isinstance(seed, random.Random) else random.Random(seed)
     skeleton = Skeleton.random(num_lists, num_objects, rng)
     rows = grades_for_skeleton(
         skeleton, rng, distribution=distribution, distributions=distributions
     )
-    return ScoringDatabase.from_skeleton(skeleton, rows)
+    return skeleton, rows

@@ -69,6 +69,97 @@ class TestConstruction:
             assert col.ranking(i) == row.ranking(i)
 
 
+def assert_same_store(got, want):
+    """Same interned objects, bit-identical columns, same rank orders."""
+    assert got.interned_objects == want.interned_objects
+    assert got.num_lists == want.num_lists
+    for i in range(want.num_lists):
+        assert got._columns[i].dtype == want._columns[i].dtype
+        assert got._columns[i].tobytes() == want._columns[i].tobytes()
+        assert np.array_equal(got._orders[i], want._orders[i])
+
+
+class TestStraightToColumnsBuild:
+    """``from_skeleton`` scatters rows into columns without the row
+    database; the serving CLI builds its store that way."""
+
+    @pytest.mark.parametrize(
+        "m,n,seed", [(1, 40, 0), (2, 300, 3), (3, 1000, 1), (4, 257, 9)]
+    )
+    def test_cli_store_equals_the_columnarised_row_database(self, m, n, seed):
+        import argparse
+
+        from repro.serving.__main__ import build_engine
+
+        engine = build_engine(
+            argparse.Namespace(
+                backing="columnar", m=m, n=n, seed=seed, shards=0,
+                shard_processes=None,
+            )
+        )
+        assert_same_store(
+            engine._backing,
+            ColumnarScoringDatabase.from_scoring_database(
+                independent_database(m, n, seed)
+            ),
+        )
+
+    def test_tied_rows_build_the_same_store(self):
+        rng = random.Random(8)
+        skeleton = random_skeleton(3, 200, rng)
+        rows = grades_for_skeleton(skeleton, rng, distribution=Crisp(0.5))
+        assert_same_store(
+            ColumnarScoringDatabase.from_skeleton(skeleton, rows),
+            ColumnarScoringDatabase.from_scoring_database(
+                ScoringDatabase.from_skeleton(skeleton, rows)
+            ),
+        )
+
+    @staticmethod
+    def _broken(case):
+        rng = random.Random(2)
+        skeleton = random_skeleton(3, 20, rng)
+        rows = grades_for_skeleton(skeleton, rng)
+        if case == "row count":
+            rows = rows[:2]
+        elif case == "row length":
+            rows[1] = rows[1][:-1]
+        elif case == "increasing row":
+            rows[2][3], rows[2][4] = rows[2][4], rows[2][3]
+        elif case == "nan grade":
+            rows[1][-1] = float("nan")
+        elif case == "grade above 1":
+            rows[0][0] = 1.5
+        elif case == "grade below 0":
+            rows[2][-1] = -0.25
+        elif case == "non-numeric grade":
+            rows[1][-1] = None
+        return skeleton, rows
+
+    @pytest.mark.parametrize(
+        "case",
+        [
+            "row count",
+            "row length",
+            "increasing row",
+            "nan grade",
+            "grade above 1",
+            "grade below 0",
+            "non-numeric grade",
+        ],
+    )
+    def test_direct_build_raises_like_the_round_trip(self, case):
+        skeleton, rows = self._broken(case)
+        with pytest.raises(Exception) as round_trip:
+            ColumnarScoringDatabase.from_scoring_database(
+                ScoringDatabase.from_skeleton(skeleton, rows)
+            )
+        with pytest.raises(Exception) as direct:
+            ColumnarScoringDatabase.from_skeleton(skeleton, rows)
+        assert type(direct.value) is type(round_trip.value)
+        assert str(direct.value) == str(round_trip.value)
+
+
 class TestParityWithRowDatabase:
     def test_rankings_identical(self, row_db, col_db):
         for i in range(row_db.num_lists):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import collections
 import sys
 import threading
 
@@ -11,6 +12,12 @@ import pytest
 from repro.access import ColumnarScoringDatabase
 from repro.access import columnar
 from repro.access.columnar import ColumnarSource, DepthIndex
+from repro.algorithms.fa import FaginA0
+from repro.algorithms.fa_min import FaginA0Min
+from repro.algorithms.naive import NaiveAlgorithm
+from repro.algorithms.nra import NoRandomAccessAlgorithm
+from repro.algorithms.threshold import ThresholdAlgorithm
+from repro.core.tnorms import MINIMUM
 from repro.exceptions import UnknownObjectError
 from repro.workloads import independent_database
 
@@ -43,6 +50,7 @@ def test_every_index_array_is_read_only(store):
     arrays = [
         *index.orders,
         index.ranks,
+        index.match_order,
         index.match_depths,
         index.first_seen,
         index.first_depths,
@@ -61,6 +69,7 @@ def test_index_positions_agree_with_the_rankings(store):
             assert index.ranks[i][objects.index(item.obj)] == rank
     deepest = index.ranks.max(axis=0) + 1
     assert index.match_depths.tolist() == sorted(deepest.tolist())
+    assert (deepest[index.match_order] == index.match_depths).all()
     shallowest = index.ranks.min(axis=0) + 1
     assert index.first_depths.tolist() == sorted(shallowest.tolist())
     assert (shallowest[index.first_seen] == index.first_depths).all()
@@ -157,3 +166,129 @@ def test_columnar_sources_keep_the_sequential_protocol(store):
         source.random_access("no-such-object")
     with pytest.raises(ValueError):
         source.sorted_access_block(-1)
+
+
+# ----------------------------------------------------------------------
+# Sessions cost only their arrays until a sequential call
+# ----------------------------------------------------------------------
+
+
+@pytest.fixture
+def build_counts(monkeypatch):
+    """Counts the store's ranking-tuple and grade-map builds per list."""
+    counts = collections.Counter()
+    for name in ("_build_ranking", "_build_grade_map"):
+        original = getattr(ColumnarScoringDatabase, name)
+
+        def spy(self, list_index, original=original, name=name):
+            counts[name, list_index] += 1
+            return original(self, list_index)
+
+        monkeypatch.setattr(ColumnarScoringDatabase, name, spy)
+    return counts
+
+
+def test_sessions_build_nothing_until_a_sequential_call(store, build_counts):
+    session = store.session()
+    ids, _ = session.sources[0].sorted_access_block(10)
+    session.sources[1].random_access_block(ids)
+    session.sources[2]._inner.fork()
+    assert not build_counts
+    assert len(session.sources[2]) == store.num_objects
+    assert session.sources[2].next_sorted() == store.ranking(2)[0]
+    assert build_counts == {("_build_ranking", 2): 1}
+    obj = store.interned_objects[7]
+    assert session.sources[0].random_access(obj) == store.grade(0, obj)
+    assert build_counts == {("_build_ranking", 2): 1, ("_build_grade_map", 0): 1}
+    # Later sessions share what the first sequential calls built.
+    later = store.session().sources[2]
+    assert later.sorted_access_batch(3) == store.ranking(2)[:3]
+    assert later._inner._items is store.ranking(2)
+    assert build_counts[("_build_ranking", 2)] == 1
+
+
+@pytest.mark.parametrize(
+    "algorithm",
+    [
+        FaginA0(),
+        FaginA0Min(),
+        ThresholdAlgorithm(),
+        NoRandomAccessAlgorithm(),
+        NaiveAlgorithm(),
+    ],
+    ids=lambda a: a.name,
+)
+def test_block_path_queries_build_no_rankings(store, build_counts, algorithm):
+    for k in (1, 10, 300):
+        algorithm.top_k(store.session(), MINIMUM, k)
+    assert not build_counts
+
+
+def test_eight_threads_making_first_sequential_calls_build_each_list_once(
+    store, build_counts
+):
+    barrier = threading.Barrier(8)
+    delivered = []
+
+    def first_calls(offset):
+        session = store.session()
+        barrier.wait(timeout=30)
+        for step in range(store.num_lists):
+            i = (step + offset) % store.num_lists
+            source = session.sources[i]
+            if offset % 2:
+                head = source.sorted_access_batch(4)
+                grade = source.random_access(head[0].obj)
+            else:
+                grade = source.random_access_many([store.interned_objects[0]])[0]
+                head = [source.next_sorted() for _ in range(4)]
+            delivered.append((i, tuple(head), grade))
+
+    threads = [
+        threading.Thread(target=first_calls, args=(offset,)) for offset in range(8)
+    ]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert build_counts == {
+        (name, i): 1
+        for name in ("_build_ranking", "_build_grade_map")
+        for i in range(store.num_lists)
+    }
+    assert len(delivered) == 8 * store.num_lists
+    for i, head, _ in delivered:
+        assert head == store.ranking(i)[:4]
+
+
+def test_fork_delivers_the_parent_sequence(store):
+    parent = store.session().sources[1]._inner
+    parent.sorted_access_block(5)
+    fork = parent.fork()
+    assert isinstance(fork, ColumnarSource)
+    assert fork.position == 0
+    parent.restart()
+    want = [parent.next_sorted() for _ in range(store.num_objects)]
+    assert list(fork.sorted_access_batch(store.num_objects)) == want
+    assert fork.exhausted
+    again = parent.fork()
+    ids, grades = again.sorted_access_block(store.num_objects)
+    objects = store.interned_objects
+    assert [objects[j] for j in ids.tolist()] == [item.obj for item in want]
+    assert grades.tolist() == [item.grade for item in want]
+
+
+def test_public_ranking_is_the_row_database_ranking():
+    rows = independent_database(3, 300, seed=4)
+    store = ColumnarScoringDatabase.from_scoring_database(rows)
+    session = store.session()
+    for i in range(store.num_lists):
+        assert store.ranking(i) == rows.ranking(i)
+        session.sources[i].next_sorted()
+        assert session.sources[i]._inner._items is store.ranking(i)

@@ -1,7 +1,8 @@
 """Differential parity: depth-block execution against the sequential run.
 
-A0, A0′ and TA take the depth-block path (:mod:`repro.algorithms.block`)
-on a fresh columnar session and the sequential path everywhere else.
+A0, A0′, TA, NRA and the naive scan take the depth-block path
+(:mod:`repro.algorithms.block`) on a fresh columnar session and the
+sequential path everywhere else.
 Every property here runs one algorithm twice over the same store —
 once on ``store.session()`` and once on a session whose sources are
 wrapped, which hides the index and forces the sequential code — and
@@ -22,6 +23,8 @@ from repro.access.source import SortedRandomSource
 from repro.algorithms.base import top_k_of, top_k_select
 from repro.algorithms.fa import FaginA0
 from repro.algorithms.fa_min import FaginA0Min
+from repro.algorithms.naive import NaiveAlgorithm
+from repro.algorithms.nra import NoRandomAccessAlgorithm
 from repro.algorithms.threshold import ThresholdAlgorithm
 from repro.core import means, tconorms, tnorms
 from repro.core.aggregation import AggregationFunction
@@ -216,6 +219,20 @@ def test_threshold_block_matches_sequential(case, epsilon):
     assert_parity(ThresholdAlgorithm(), store, aggregation, k, epsilon)
 
 
+@PARITY
+@given(stores(), st.sampled_from(EPSILONS))
+def test_nra_block_matches_sequential(case, epsilon):
+    store, k, aggregation = case
+    assert_parity(NoRandomAccessAlgorithm(), store, aggregation, k, epsilon)
+
+
+@PARITY
+@given(stores())
+def test_naive_block_matches_sequential(case):
+    store, k, aggregation = case
+    assert_parity(NaiveAlgorithm(), store, aggregation, k)
+
+
 # ----------------------------------------------------------------------
 # Which path runs
 # ----------------------------------------------------------------------
@@ -240,6 +257,9 @@ def tied_store(n: int = 60, m: int = 3, seed: int = 5):
         (FaginA0Min(), MINIMUM),
         (ThresholdAlgorithm(), MINIMUM),
         (ThresholdAlgorithm(), means.HARMONIC_MEAN),
+        (NoRandomAccessAlgorithm(), MINIMUM),
+        (NoRandomAccessAlgorithm(), means.ARITHMETIC_MEAN),
+        (NaiveAlgorithm(), means.ARITHMETIC_MEAN),
     ],
     ids=lambda a: getattr(a, "name", None),
 )
@@ -258,6 +278,10 @@ def test_fresh_columnar_sessions_take_the_block_path(
         (ThresholdAlgorithm(), WeightedGeometricMean([1.0, 2.0, 3.0])),
         (ThresholdAlgorithm(), _ScalarOnly(MINIMUM)),
         (FaginA0Min(), _MinSubclass()),
+        (NoRandomAccessAlgorithm(), GEOMETRIC_MEAN),
+        (NoRandomAccessAlgorithm(), _ScalarOnly(MINIMUM)),
+        (NaiveAlgorithm(), GEOMETRIC_MEAN),
+        (NaiveAlgorithm(), _ScalarOnly(MINIMUM)),
     ],
     ids=lambda a: getattr(a, "name", None),
 )
@@ -272,10 +296,19 @@ def test_inexact_or_kernel_less_aggregations_decline(
     )
 
 
-ALGORITHMS = [FaginA0(), FaginA0Min(), ThresholdAlgorithm()]
+ALGORITHMS = [
+    FaginA0(),
+    FaginA0Min(),
+    ThresholdAlgorithm(),
+    NoRandomAccessAlgorithm(),
+    NaiveAlgorithm(),
+]
+#: The naive scan rejects a half-consumed session on both paths (its
+#: lists no longer deliver every object), so it has its own test.
+EARLY_STOPPING = ALGORITHMS[:-1]
 
 
-@pytest.mark.parametrize("algorithm", ALGORITHMS, ids=lambda a: a.name)
+@pytest.mark.parametrize("algorithm", EARLY_STOPPING, ids=lambda a: a.name)
 def test_half_consumed_sessions_decline(block_calls, algorithm):
     store = tied_store()
     session = store.session()
@@ -287,6 +320,20 @@ def test_half_consumed_sessions_decline(block_calls, algorithm):
     assert signature(result) == signature(
         algorithm.top_k(hidden, MINIMUM, 5)
     )
+
+
+def test_half_consumed_sessions_decline_the_naive_scan(block_calls):
+    store = tied_store()
+    session = store.session()
+    session.sources[1].next_sorted()
+    hidden = hidden_session(store)
+    hidden.sources[1].next_sorted()
+    naive = NaiveAlgorithm()
+    with pytest.raises(ValueError, match="missing from list"):
+        naive.top_k(session, MINIMUM, 5)
+    assert block_calls == {"sorted": 0, "random": 0}
+    with pytest.raises(ValueError, match="missing from list"):
+        naive.top_k(hidden, MINIMUM, 5)
 
 
 @pytest.mark.parametrize("algorithm", ALGORITHMS, ids=lambda a: a.name)
@@ -391,7 +438,9 @@ def test_non_integer_object_ids_keep_parity(block_calls, algorithm):
 
 
 @pytest.mark.parametrize(
-    "algorithm", [FaginA0(), ThresholdAlgorithm()], ids=lambda a: a.name
+    "algorithm",
+    [FaginA0(), ThresholdAlgorithm(), NoRandomAccessAlgorithm()],
+    ids=lambda a: a.name,
 )
 def test_wrong_arity_raises_on_both_paths(algorithm):
     from repro.exceptions import AggregationArityError
@@ -402,3 +451,75 @@ def test_wrong_arity_raises_on_both_paths(algorithm):
         algorithm.top_k(store.session(), weighted, 4)
     with pytest.raises(AggregationArityError):
         algorithm.top_k(hidden_session(store), weighted, 4)
+
+
+# ----------------------------------------------------------------------
+# The adaptive chooser stays on the block path
+# ----------------------------------------------------------------------
+
+#: The strategy behind each ``TopKResult.algorithm`` name.
+BY_NAME = {
+    algorithm.name: type(algorithm)
+    for algorithm in (*ALGORITHMS, FaginA0Min())
+}
+
+
+def test_chooser_trials_and_overrides_never_leave_the_block_path(monkeypatch):
+    """Enough traffic per shape for the chooser's exploration slots to
+    trial every candidate and for its ledger to override the static
+    choice: every run still takes the block path (no session builds a
+    ranking tuple or grade map) and matches the same strategy's
+    sequential run."""
+    from repro.core.means import ARITHMETIC_MEAN
+    from repro.core.tnorms import ALGEBRAIC_PRODUCT
+    from repro.engine import Engine
+    from repro.workloads import independent_database
+
+    store = ColumnarScoringDatabase.from_scoring_database(
+        independent_database(3, 2000, seed=1)
+    )
+    # The sequential references run on a second store over the same
+    # arrays, so only the engine's store is watched.
+    reference = ColumnarScoringDatabase.from_frozen_arrays(
+        store.interned_objects, store._columns, store._orders
+    )
+    built = []
+    for name in ("ranking", "_grade_map"):
+        original = getattr(ColumnarScoringDatabase, name)
+
+        def spy(self, list_index, original=original, name=name):
+            if self is store:
+                built.append((name, list_index))
+            return original(self, list_index)
+
+        monkeypatch.setattr(ColumnarScoringDatabase, name, spy)
+
+    mix = [
+        (MINIMUM, 10, None),
+        (MINIMUM, 100, None),
+        (ARITHMETIC_MEAN, 10, None),
+        (ALGEBRAIC_PRODUCT, 10, None),
+        (MINIMUM, 10, 0.05),
+    ]
+    engine = Engine.over(store)
+    expected = {}
+    ran = set()
+    for _ in range(700):
+        for aggregation, k, epsilon in mix:
+            query = engine.query(aggregation)
+            if epsilon is not None:
+                query = query.epsilon(epsilon)
+            result = query.top(k)
+            key = (result.algorithm, aggregation.name, k, epsilon)
+            if key not in expected:
+                expected[key] = signature(
+                    BY_NAME[result.algorithm]().top_k(
+                        hidden_session(reference), aggregation, k, epsilon
+                    )
+                )
+            assert signature(result) == expected[key], key
+            ran.add(result.algorithm)
+    assert built == []
+    metrics = engine.metrics_snapshot()["planner"]["chooser"]
+    assert metrics["explorations"] > 0 and metrics["overrides"] > 0
+    assert {"NRA", "naive", "TA"} <= ran

@@ -3,12 +3,10 @@
 from repro.access.columnar import ColumnarSource
 
 
-def peek_block(name, items, grades, order, column):
-    source = ColumnarSource.over_store(name, items, grades, order, column)
+def peek_block(store, list_index):
+    source = ColumnarSource(store, list_index)
     return source.sorted_access_block(10)  # raw mint: nothing charges it
 
 
-def probe_block(name, items, grades, order, column, ids):
-    return ColumnarSource.over_store(
-        name, items, grades, order, column
-    ).random_access_block(ids)
+def probe_block(store, list_index, ids):
+    return ColumnarSource(store, list_index).random_access_block(ids)
